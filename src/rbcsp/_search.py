@@ -1,198 +1,156 @@
-"""Forward-checking backtracking search kernel.
+"""Forward-checking backtracking search kernel over bitset domains.
 
-One plain-Python/numpy implementation, compiled with numba's ``@njit`` when
-available.  Set ``RBCSP_NO_NUMBA=1`` to force the uncompiled path; both
-paths run the identical function, so node and backtrack counters match
-exactly.  ``benchmarks/bench_solver.py`` times one against the other.
+The kernel is chronological backtracking with forward checking (Haralick &
+Elliott 1980): assigning a variable prunes, for every constraint with
+exactly one other unassigned variable, the forbidden values of that
+variable.  Domains are Python ``int`` bitmasks (bit v set = value v still
+allowed), as in bit-parallel arc consistency (Lecoutre & Vion 2008), so a
+pruning is one ``&= ~mask`` and a wipeout is an empty mask.
 
-The kernel is chronological backtracking with forward checking: assigning a
-variable prunes, for every constraint with exactly one other unassigned
-variable, the forbidden values of that variable.  Variable order is lex
-(heuristic code 0) or minimum-remaining-values with lowest-index
-tie-breaking (code 1); value order is ascending.  ``nodes`` counts value
-assignment attempts, ``backtracks`` counts retractions.
+Variable order is lex or minimum-remaining-values with lowest-index
+tie-breaking; value order is ascending.  ``nodes`` counts value assignment
+attempts, ``backtracks`` counts retractions.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
+from .core import tuple_rank
 
 STATUS_SAT = 0
 STATUS_UNSAT = 1
 STATUS_LIMIT = 2
 
-HEURISTIC_LEX = 0
-HEURISTIC_MRV = 1
+
+def active_backend() -> str:
+    """Name of the kernel implementation, for benchmark environment records."""
+    return "python"
 
 
-def _fc_search(n, d, k, scopes, incompat, var_con_start, var_con_idx,
-               mults, heuristic, node_limit, count_all):
+def _watch_lists(n, d, constraints):
+    """Per variable, one ``(own_mult, others)`` entry per constraint on it,
+    in constraint order.  ``others`` holds ``(var, mult, masks)`` for every
+    other scope position; ``masks`` maps the partial rank of a tuple (the
+    position's own coordinate zeroed) to the bitmask of that position's
+    forbidden values."""
+    watch = [[] for _ in range(n)]
+    for con in constraints:
+        k = len(con.scope)
+        ranks = [tuple_rank(values, d) for values in con.incompatible]
+        slots = []
+        for j, u in enumerate(con.scope):
+            mult = d ** (k - 1 - j)
+            masks = {}
+            for rank, values in zip(ranks, con.incompatible):
+                v = values[j]
+                partial = rank - v * mult
+                masks[partial] = masks.get(partial, 0) | 1 << v
+            slots.append((u, mult, masks))
+        for j, (u, mult, _) in enumerate(slots):
+            watch[u].append((mult, tuple(slots[:j] + slots[j + 1:])))
+    return watch
+
+
+def fc_search(n, d, constraints, mrv, node_limit, count_all):
     """Returns (status, nodes, backtracks, solutions, witness).
 
-    scopes:        (m, k) int64, each row ascending variable indices
-    incompat:      (m, d^k) bool, True marks a forbidden tuple rank
-    var_con_*:     CSR adjacency variable -> constraint indices
-    mults:         (k,) int64 rank multipliers d^(k-1-j)
-    node_limit:    <= 0 means unlimited
-    solutions:     -1 unless count_all
-    witness:       first solution found, else all -1
+    node_limit:  None means unlimited
+    solutions:   solutions found before stopping (all of them with count_all)
+    witness:     first solution found as a tuple of values, else None
     """
-    dom = np.ones((n, d), dtype=np.bool_)
-    dom_size = np.full(n, d, dtype=np.int64)
-    assigned = np.zeros(n, dtype=np.bool_)
-    assignment = np.full(n, -1, dtype=np.int64)
-    witness = np.full(n, -1, dtype=np.int64)
-
-    # Live prunings never exceed n*d, one slot per (variable, value).
-    trail_var = np.empty(n * d, dtype=np.int64)
-    trail_val = np.empty(n * d, dtype=np.int64)
-    trail_len = 0
-    depth_trail = np.zeros(n + 1, dtype=np.int64)
-
-    chosen = np.full(n, -1, dtype=np.int64)
-    try_from = np.zeros(n, dtype=np.int64)
-
-    nodes = 0
-    backtracks = 0
-    solutions = 0
+    watch = _watch_lists(n, d, constraints)
+    assign = [-1] * n
+    doms = [None] * (n + 1)  # doms[depth]: domains on entering that depth
+    doms[0] = [(1 << d) - 1] * n
+    chosen = [0] * n
+    untried = [0] * n  # values of chosen[depth] not yet tried, as a bitmask
+    nodes = backtracks = solutions = 0
+    witness = None
     status = STATUS_UNSAT
 
-    # variable selection for the current frontier
-    def select_var():
-        if heuristic == HEURISTIC_LEX:
-            for u in range(n):
-                if not assigned[u]:
-                    return u
-            return -1
+    def select(dom):
         best = -1
         best_size = d + 1
         for u in range(n):
-            if not assigned[u] and dom_size[u] < best_size:
-                best = u
-                best_size = dom_size[u]
+            if assign[u] < 0:
+                if not mrv:
+                    return u
+                size = dom[u].bit_count()
+                if size < best_size:
+                    best, best_size = u, size
         return best
 
     depth = 0
-    chosen[0] = select_var()
-    try_from[0] = 0
+    chosen[0] = select(doms[0])
+    untried[0] = doms[0][chosen[0]]
 
     while True:
         if depth == n:
             solutions += 1
-            if solutions == 1:
-                for u in range(n):
-                    witness[u] = assignment[u]
+            if witness is None:
+                witness = tuple(assign)
             if not count_all:
                 status = STATUS_SAT
                 break
             # treat the solution as a dead end and keep searching
             depth -= 1
-            start = depth_trail[depth]
-            for t in range(start, trail_len):
-                dom[trail_var[t], trail_val[t]] = True
-                dom_size[trail_var[t]] += 1
-            trail_len = start
-            assigned[chosen[depth]] = False
+            assign[chosen[depth]] = -1
             backtracks += 1
             continue
 
-        var = chosen[depth]
-        v = try_from[depth]
-        while v < d and not dom[var, v]:
-            v += 1
-        if v >= d:
+        rest = untried[depth]
+        if not rest:
             # values exhausted at this depth
             if depth == 0:
                 break
             depth -= 1
-            start = depth_trail[depth]
-            for t in range(start, trail_len):
-                dom[trail_var[t], trail_val[t]] = True
-                dom_size[trail_var[t]] += 1
-            trail_len = start
-            assigned[chosen[depth]] = False
+            assign[chosen[depth]] = -1
             backtracks += 1
             continue
 
         nodes += 1
-        if node_limit > 0 and nodes > node_limit:
+        if node_limit is not None and nodes > node_limit:
             status = STATUS_LIMIT
             break
-        try_from[depth] = v + 1
-        assignment[var] = v
-        assigned[var] = True
-        depth_trail[depth] = trail_len
+        low = rest & -rest
+        untried[depth] = rest ^ low
+        val = low.bit_length() - 1
+        var = chosen[depth]
+        assign[var] = val
+        dom = doms[depth][:]
 
         # forward check: prune the single unassigned variable of each
         # constraint that is now fully instantiated but for one slot
         ok = True
-        for ci in range(var_con_start[var], var_con_start[var + 1]):
-            c = var_con_idx[ci]
-            free_var = -1
-            free_pos = -1
-            partial = 0
-            two_free = False
-            for j in range(k):
-                u = scopes[c, j]
-                if assigned[u]:
-                    partial += assignment[u] * mults[j]
-                elif free_var < 0:
-                    free_var = u
-                    free_pos = j
-                else:
-                    two_free = True
+        for own_mult, others in watch[var]:
+            partial = val * own_mult
+            free = -1
+            for u, mult, masks in others:
+                a = assign[u]
+                if a >= 0:
+                    partial += a * mult
+                elif free >= 0:
+                    free = -1  # a second unassigned variable: nothing to prune
                     break
-            if two_free or free_var < 0:
-                continue
-            step = mults[free_pos]
-            for w in range(d):
-                if dom[free_var, w] and incompat[c, partial + w * step]:
-                    dom[free_var, w] = False
-                    dom_size[free_var] -= 1
-                    trail_var[trail_len] = free_var
-                    trail_val[trail_len] = w
-                    trail_len += 1
-            if dom_size[free_var] == 0:
-                ok = False
-                break
+                else:
+                    free, free_masks = u, masks
+            if free >= 0:
+                mask = free_masks.get(partial, 0)
+                if dom[free] & mask:
+                    dom[free] &= ~mask
+                    if not dom[free]:
+                        ok = False
+                        break
 
         if ok:
             depth += 1
+            doms[depth] = dom
             if depth < n:
-                chosen[depth] = select_var()
-                try_from[depth] = 0
+                chosen[depth] = select(dom)
+                untried[depth] = dom[chosen[depth]]
         else:
-            start = depth_trail[depth]
-            for t in range(start, trail_len):
-                dom[trail_var[t], trail_val[t]] = True
-                dom_size[trail_var[t]] += 1
-            trail_len = start
-            assigned[var] = False
+            assign[var] = -1
             backtracks += 1
 
     if count_all and solutions > 0 and status == STATUS_UNSAT:
         status = STATUS_SAT
-    if not count_all:
-        solutions = -1
     return status, nodes, backtracks, solutions, witness
-
-
-fc_search_python = _fc_search
-
-_disabled = os.environ.get("RBCSP_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
-fc_search_compiled = None
-if not _disabled:
-    try:
-        import numba
-
-        fc_search_compiled = numba.njit(cache=True)(_fc_search)
-    except ImportError:
-        fc_search_compiled = None
-
-fc_search = fc_search_compiled if fc_search_compiled is not None else fc_search_python
-
-
-def active_backend() -> str:
-    return "numba" if fc_search is fc_search_compiled and fc_search_compiled is not None else "python"

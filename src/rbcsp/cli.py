@@ -22,6 +22,7 @@ from .core import (
 from .encoder import (
     encode_cnf,
     read_csp_native,
+    read_dimacs,
     write_csp_native,
     write_dimacs,
     write_solution,
@@ -129,26 +130,6 @@ def _cmd_encode(args) -> int:
     return 0
 
 
-def _read_dimacs(path: Path):
-    from .encoder import CnfFormula
-
-    num_vars = 0
-    clauses = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            num_vars = int(parts[2])
-            continue
-        lits = [int(x) for x in line.split()]
-        if lits and lits[-1] == 0:
-            lits = lits[:-1]
-        clauses.append(tuple(lits))
-    return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
-
-
 def _cmd_solve(args) -> int:
     path = Path(args.input)
     fmt = args.format or ("dimacs" if path.suffix == ".cnf" else "rbcsp")
@@ -158,7 +139,7 @@ def _cmd_solve(args) -> int:
         instance = read_csp_native(path.read_text(encoding="utf-8"))
         result = solve_csp(instance, cfg)
     else:
-        result = dpll(_read_dimacs(path), cfg)
+        result = dpll(read_dimacs(path.read_text(encoding="utf-8")), cfg)
     print(f"status={result.status.value}")
     print(f"nodes={result.nodes}")
     print(f"backtracks={result.backtracks}")
@@ -323,7 +304,7 @@ def cli_main(argv=None) -> int:
     except RbcspError as exc:
         print(f"rbcsp: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"rbcsp: error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,7 +39,7 @@ class SizeError(RbcspError, ValueError):
 
 
 class ParseError(RbcspError, ValueError):
-    """Malformed native-format text; carries the offending line number."""
+    """Malformed native or DIMACS text; carries the offending line number."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")

@@ -50,6 +50,7 @@ __all__ = [
     "CnfFormula",
     "encode_cnf",
     "write_dimacs",
+    "read_dimacs",
     "write_csp_native",
     "read_csp_native",
     "write_solution",
@@ -149,6 +150,50 @@ def write_dimacs(cnf: CnfFormula) -> str:
     for clause in cnf.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"
+
+
+def read_dimacs(text: str) -> CnfFormula:
+    """Parse DIMACS CNF: ``c`` comment lines, one ``p cnf <vars> <clauses>``
+    header, then 0-terminated clauses that may span lines.  A SATLIB ``%``
+    line ends the clause section.  Comments are not kept as metadata."""
+    header = None
+    clauses: list[tuple[int, ...]] = []
+    literals: list[int] = []
+    no = 0
+    for no, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if not fields or fields[0].startswith("c"):
+            continue
+        if fields[0].startswith("%"):
+            break
+        if fields[0] == "p":
+            if header is not None:
+                raise ParseError(no, "second 'p' header")
+            if len(fields) != 4 or fields[1] != "cnf" or not all(f.isdecimal() for f in fields[2:]):
+                raise ParseError(no, f"expected 'p cnf <variables> <clauses>', got {line.strip()!r}")
+            header = (int(fields[2]), int(fields[3]))
+            continue
+        if header is None:
+            raise ParseError(no, "clause before the 'p cnf' header")
+        for field_ in fields:
+            try:
+                lit = int(field_)
+            except ValueError:
+                raise ParseError(no, f"non-integer literal {field_!r}") from None
+            if lit == 0:
+                clauses.append(tuple(literals))
+                literals = []
+            elif abs(lit) > header[0]:
+                raise ParseError(no, f"literal {lit} outside 1..{header[0]}")
+            else:
+                literals.append(lit)
+    if header is None:
+        raise ParseError(no, "missing 'p cnf' header")
+    if literals:
+        raise ParseError(no, "last clause is not terminated by 0")
+    if len(clauses) != header[1]:
+        raise ParseError(no, f"found {len(clauses)} clauses, header declares {header[1]}")
+    return CnfFormula(num_vars=header[0], clauses=tuple(clauses))
 
 
 def write_csp_native(instance: CspInstance) -> str:

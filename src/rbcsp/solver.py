@@ -1,7 +1,7 @@
 """Reference search procedures.
 
-* :func:`solve_csp` — forward-checking backtracker over the numba/numpy
-  kernel in :mod:`rbcsp._search`, with node/backtrack cost counters.
+* :func:`solve_csp` — forward-checking backtracker over the bitset kernel in
+  :mod:`rbcsp._search`, with node/backtrack cost counters.
 * :func:`enumerate_solutions` — exhaustive oracle, deliberately independent
   of the search kernel.
 * :func:`dpll` — minimal DPLL (unit propagation + lowest-index splitting)
@@ -16,16 +16,14 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
-import numpy as np
-
 from . import _search
 from .core import (
     Assignment,
     CspInstance,
     ParameterError,
+    RbcspError,
     SizeError,
     check_assignment,
-    tuple_rank,
 )
 from .encoder import CnfFormula
 
@@ -63,65 +61,28 @@ class SolveResult:
     solutions: int | None = None
 
 
-def _pack(instance: CspInstance):
-    """Flatten an instance into the kernel's array layout."""
-    n = instance.params.n
-    k = instance.params.k
-    d = instance.sizes.d
-    m = instance.sizes.m
+def solve_csp(instance: CspInstance, cfg: SolveConfig = SolveConfig()) -> SolveResult:
+    """Complete forward-checking search; LIMIT when the node budget runs out."""
     space = instance.sizes.tuple_space
     if space > MAX_TUPLE_SPACE:
         raise SizeError(f"tuple space d^k = {space} exceeds the solver bound {MAX_TUPLE_SPACE}")
-
-    scopes = np.empty((m, k), dtype=np.int64)
-    incompat = np.zeros((m, space), dtype=np.bool_)
-    for ci, con in enumerate(instance.constraints):
-        scopes[ci, :] = con.scope
-        for values in con.incompatible:
-            incompat[ci, tuple_rank(values, d)] = True
-
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for ci in range(m):
-        for j in range(k):
-            counts[scopes[ci, j] + 1] += 1
-    var_con_start = np.cumsum(counts).astype(np.int64)
-    var_con_idx = np.empty(m * k, dtype=np.int64)
-    fill = var_con_start[:-1].copy()
-    for ci in range(m):
-        for j in range(k):
-            u = scopes[ci, j]
-            var_con_idx[fill[u]] = ci
-            fill[u] += 1
-
-    mults = np.array([d ** (k - 1 - j) for j in range(k)], dtype=np.int64)
-    return scopes, incompat, var_con_start, var_con_idx, mults
-
-
-def solve_csp(instance: CspInstance, cfg: SolveConfig = SolveConfig()) -> SolveResult:
-    """Complete forward-checking search; LIMIT when the node budget runs out."""
-    n = instance.params.n
-    d = instance.sizes.d
-    k = instance.params.k
-    scopes, incompat, var_con_start, var_con_idx, mults = _pack(instance)
-    heuristic = _search.HEURISTIC_LEX if cfg.heuristic == "lex" else _search.HEURISTIC_MRV
-    limit = cfg.node_limit if cfg.node_limit is not None else 0
     status_code, nodes, backtracks, solutions, witness = _search.fc_search(
-        n, d, k, scopes, incompat, var_con_start, var_con_idx, mults,
-        heuristic, limit, cfg.count_all,
+        instance.params.n, instance.sizes.d, instance.constraints,
+        cfg.heuristic == "mrv", cfg.node_limit, cfg.count_all,
     )
     status = (SolveStatus.SAT, SolveStatus.UNSAT, SolveStatus.LIMIT)[status_code]
     result_witness = None
     if status is SolveStatus.SAT:
-        result_witness = Assignment(tuple(int(v) for v in witness))
+        result_witness = Assignment(witness)
         report = check_assignment(instance, result_witness)
-        assert report.satisfied, f"unsound witness, violates constraint {report.violated_index}"
-    count = int(solutions) if cfg.count_all and status is not SolveStatus.LIMIT else None
+        if not report.satisfied:
+            raise RbcspError(f"unsound witness, violates constraint {report.violated_index}")
     return SolveResult(
         status=status,
         witness=result_witness,
-        nodes=int(nodes),
-        backtracks=int(backtracks),
-        solutions=count,
+        nodes=nodes,
+        backtracks=backtracks,
+        solutions=solutions if cfg.count_all and status is not SolveStatus.LIMIT else None,
     )
 
 
@@ -153,8 +114,6 @@ def dpll(cnf: CnfFormula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     num_vars = cnf.num_vars
     clauses = cnf.clauses
     limit = cfg.node_limit
-    if sys.getrecursionlimit() < 2 * num_vars + 200:
-        sys.setrecursionlimit(2 * num_vars + 200)
     state = {"nodes": 0, "backtracks": 0, "solutions": 0, "witness": None, "limit": False}
 
     def propagate(assign: list[int]) -> bool:
@@ -218,7 +177,14 @@ def dpll(cnf: CnfFormula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
                 return False
         return False
 
-    search([0] * (num_vars + 1))
+    # search recurses once per split variable; lift the process-wide limit
+    # for the duration of the call only
+    saved_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(saved_limit, 2 * num_vars + 200))
+    try:
+        search([0] * (num_vars + 1))
+    finally:
+        sys.setrecursionlimit(saved_limit)
     if state["limit"]:
         status = SolveStatus.LIMIT
     elif state["solutions"] > 0:

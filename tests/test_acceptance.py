@@ -1,8 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The experiment criteria
-(08-10) solve a few thousand seeded instances and take a couple of minutes
-with the compiled kernel.
+(08-10) solve a few thousand seeded instances and take a minute or two.
 """
 
 import math

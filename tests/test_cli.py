@@ -116,6 +116,41 @@ class TestSolveCmd:
         assert count_csp == count_cnf
 
 
+    def test_dimacs_clause_split_across_lines(self, capsys, tmp_path):
+        # one clause (1 v 2 v 3) written over two lines: 7 of 8 assignments
+        path = tmp_path / "split.cnf"
+        path.write_text("p cnf 3 1\n1 2\n3 0\n")
+        code, out, _ = run(capsys, "solve", str(path), "--count-all")
+        assert code == 0
+        assert "solutions=7" in out.splitlines()
+
+    def test_dimacs_satlib_terminator(self, capsys, tmp_path):
+        path = tmp_path / "uf.cnf"
+        path.write_text("c SATLIB style\np cnf 2 2\n 1 -2 0\n 2 0\n%\n0\n\n")
+        code, out, _ = run(capsys, "solve", str(path))
+        assert code == 0
+        assert "status=SAT" in out.splitlines()
+        assert "witness=1 1" in out.splitlines()
+
+    @pytest.mark.parametrize("data", [
+        b"1 2 0\n",
+        b"p cnf two 1\n1 0\n",
+        b"p cnf 2 1\n1 5 0\n",
+        b"p cnf 2 1\n1 x 0\n",
+        b"p cnf 2 1\n1 2\n",
+        b"p cnf 2 3\n1 2 0\n",
+        b"p cnf 1 1\n1 0 \xff\n",  # not UTF-8
+    ])
+    def test_malformed_dimacs_exit_2(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.cnf"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("rbcsp: error: ")
+        assert "Traceback" not in err
+
+
 class TestEncodeCmd:
     def test_encode_matches_gen(self, capsys, tmp_path):
         run(capsys, "gen", "--model", "rb", "--k", "2", "--n", "6", "--alpha", "0.7",

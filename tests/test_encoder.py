@@ -15,6 +15,7 @@ from rbcsp.core import (
 from rbcsp.encoder import (
     encode_cnf,
     read_csp_native,
+    read_dimacs,
     write_csp_native,
     write_dimacs,
     write_solution,
@@ -152,6 +153,45 @@ class TestDimacs:
             assert lits[-1] == 0
             parsed.append(tuple(lits[:-1]))
         assert sorted(parsed) == sorted(cnf.clauses)
+
+    @pytest.mark.parametrize("split_width", [None, 3])
+    def test_read_dimacs_roundtrip(self, split_width):
+        for forced in (False, True):
+            for inst in small_instances(4, forced=forced):
+                cnf = encode_cnf(inst, split_width)
+                back = read_dimacs(write_dimacs(cnf))
+                assert (back.num_vars, back.clauses) == (cnf.num_vars, cnf.clauses)
+
+    @pytest.mark.parametrize("text,clauses", [
+        # a clause ends at its 0, not at the end of a line
+        ("c comment\np cnf 3 2\n1 2\n3 0 -1\n0\n", ((1, 2, 3), (-1,))),
+        # SATLIB files end the clause section with a '%' line
+        ("p cnf 2 1\n1 -2 0\n%\n0\n\n", ((1, -2),)),
+        ("p cnf 1 2\n1 0 0\n", ((1,), ())),
+    ])
+    def test_read_dimacs_token_stream(self, text, clauses):
+        assert read_dimacs(text).clauses == clauses
+
+    @pytest.mark.parametrize("text,line", [
+        ("", 0),
+        ("c only a comment\n", 1),
+        ("1 2 0\n", 1),
+        ("p cnf 2\n1 0\n", 1),
+        ("p sat 2 1\n1 0\n", 1),
+        ("p cnf -2 1\n1 0\n", 1),
+        ("p cnf x 1\n1 0\n", 1),
+        ("p cnf 2 1\np cnf 2 1\n1 0\n", 2),
+        ("p cnf 2 1\n1 3 0\n", 2),
+        ("p cnf 2 1\n1 -3 0\n", 2),
+        ("p cnf 2 1\n1 a 0\n", 2),
+        ("p cnf 2 1\n1 2\n", 2),
+        ("p cnf 2 2\n1 2 0\n", 2),
+        ("p cnf 2 1\n1 0\n2 0\n", 3),
+    ])
+    def test_read_dimacs_rejects(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            read_dimacs(text)
+        assert exc.value.line_no == line
 
 
 class TestNativeFormat:

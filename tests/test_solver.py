@@ -1,14 +1,19 @@
 import itertools
 import math
+import sys
 
 import pytest
 
+from rbcsp import _search
+from rbcsp.analysis import p_threshold
 from rbcsp.core import (
     Assignment,
     Constraint,
     CspInstance,
     CspParams,
     ModelKind,
+    RbcspError,
+    SizeError,
     check_assignment,
     derive_sizes,
 )
@@ -172,6 +177,13 @@ class TestDpll:
         res = dpll(cnf, SolveConfig(node_limit=1))
         assert res.status is SolveStatus.LIMIT
 
+    def test_recursion_limit_restored(self):
+        before = sys.getrecursionlimit()
+        chain = tuple((-v, v + 1) for v in range(1, 5000))
+        res = dpll(CnfFormula(num_vars=5000, clauses=((1,),) + chain))
+        assert res.status is SolveStatus.SAT
+        assert sys.getrecursionlimit() == before
+
     def test_status_matches_csp_solver(self):
         params = CspParams.from_sizes(ModelKind.RB, 2, 5, 3, 9, 0.5)
         for i in range(30):
@@ -179,20 +191,85 @@ class TestDpll:
             assert dpll(encode_cnf(inst)).status == solve_csp(inst).status
 
 
-class TestBackendParity:
-    def test_python_and_compiled_paths_agree(self):
-        from rbcsp import _search
+# (status, nodes, backtracks, solutions) recorded with the numpy
+# forward-checking kernel that the bitset kernel replaced; a change here
+# means search behaviour changed.  Per SMALL_FAMILIES instance the four
+# entries are lex, mrv, lex count-all and mrv count-all.
+SMALL_FAMILY_COUNTERS = {
+    (0, False): (("SAT", 5, 1, None), ("SAT", 4, 0, None), ("SAT", 12, 12, 3), ("SAT", 10, 10, 3)),
+    (0, True): (("SAT", 4, 0, None), ("SAT", 4, 0, None), ("SAT", 12, 12, 5), ("SAT", 12, 12, 5)),
+    (1, False): (("SAT", 6, 1, None), ("SAT", 5, 0, None), ("SAT", 66, 66, 28), ("SAT", 60, 60, 28)),
+    (1, True): (("SAT", 5, 0, None), ("SAT", 5, 0, None), ("SAT", 90, 90, 49), ("SAT", 88, 88, 49)),
+    (2, False): (("UNSAT", 6, 6, None), ("UNSAT", 7, 7, None), ("UNSAT", 6, 6, 0), ("UNSAT", 7, 7, 0)),
+    (2, True): (("SAT", 7, 1, None), ("SAT", 6, 0, None), ("SAT", 13, 13, 2), ("SAT", 8, 8, 2)),
+    (3, False): (("SAT", 5, 0, None), ("SAT", 5, 0, None), ("SAT", 13, 13, 2), ("SAT", 12, 12, 2)),
+    (3, True): (("SAT", 6, 1, None), ("SAT", 5, 0, None), ("SAT", 23, 23, 4), ("SAT", 20, 20, 4)),
+    (4, False): (("SAT", 9, 5, None), ("SAT", 7, 3, None), ("SAT", 36, 36, 14), ("SAT", 28, 28, 14)),
+    (4, True): (("SAT", 5, 1, None), ("SAT", 4, 0, None), ("SAT", 51, 51, 21), ("SAT", 39, 39, 21)),
+    (5, False): (("UNSAT", 9, 9, None), ("UNSAT", 7, 7, None), ("UNSAT", 9, 9, 0), ("UNSAT", 7, 7, 0)),
+    (5, True): (("SAT", 8, 2, None), ("SAT", 7, 1, None), ("SAT", 19, 19, 5), ("SAT", 14, 14, 5)),
+    (6, False): (("UNSAT", 4, 4, None), ("UNSAT", 3, 3, None), ("UNSAT", 4, 4, 0), ("UNSAT", 3, 3, 0)),
+    (6, True): (("SAT", 5, 0, None), ("SAT", 5, 0, None), ("SAT", 9, 9, 2), ("SAT", 7, 7, 2)),
+    (7, False): (("UNSAT", 8, 8, None), ("UNSAT", 8, 8, None), ("UNSAT", 8, 8, 0), ("UNSAT", 8, 8, 0)),
+    (7, True): (("SAT", 13, 7, None), ("SAT", 13, 7, None), ("SAT", 20, 20, 4), ("SAT", 17, 17, 4)),
+}
 
-        if _search.fc_search_compiled is None:
-            pytest.skip("numba unavailable or disabled")
-        params = CspParams.from_sizes(ModelKind.RB, 2, 8, 4, 16, 0.45)
-        from rbcsp.solver import _pack
+# (model, k, n, alpha, r, forced, stream index, heuristic, status, nodes,
+# backtracks) at p_cr(alpha, r), same provenance as above
+THRESHOLD_COUNTERS = [
+    ("rb", 2, 16, 0.8, 1.5, True, 0, "mrv", "SAT", 24, 8),
+    ("rb", 2, 16, 0.8, 1.5, True, 0, "lex", "SAT", 35572, 35556),
+    ("rb", 2, 16, 0.8, 1.5, True, 1, "mrv", "SAT", 92, 76),
+    ("rb", 2, 16, 0.8, 1.5, True, 1, "lex", "SAT", 964, 948),
+    ("rb", 2, 16, 0.8, 1.5, True, 2, "mrv", "SAT", 105, 89),
+    ("rb", 2, 16, 0.8, 1.5, True, 2, "lex", "SAT", 123, 107),
+    ("rb", 2, 20, 0.8, 1.5, True, 0, "mrv", "SAT", 109, 89),
+    ("rb", 2, 20, 0.8, 1.5, True, 1, "mrv", "SAT", 278, 258),
+    ("rb", 2, 20, 0.8, 1.5, True, 2, "mrv", "SAT", 306, 286),
+    ("rd", 3, 10, 0.8, 1.0, False, 0, "mrv", "UNSAT", 1612, 1612),
+    ("rd", 3, 10, 0.8, 1.0, False, 1, "mrv", "UNSAT", 169, 169),
+    ("rd", 3, 10, 0.8, 1.0, False, 2, "mrv", "UNSAT", 510, 510),
+    ("rd", 3, 10, 0.8, 1.0, False, 3, "mrv", "UNSAT", 1066, 1066),
+    ("rd", 3, 10, 0.8, 1.0, False, 4, "mrv", "UNSAT", 642, 642),
+    ("rd", 3, 10, 0.8, 1.0, False, 5, "mrv", "UNSAT", 868, 868),
+    ("rd", 3, 10, 0.8, 1.0, False, 6, "mrv", "UNSAT", 291, 291),
+    ("rd", 3, 10, 0.8, 1.0, False, 7, "mrv", "SAT", 152, 142),
+]
 
-        for i in range(10):
-            inst = generate(GenRequest(params, seed=derive_stream(1234, i)))
-            packed = _pack(inst)
-            args = (8, 4, 2, *packed, _search.HEURISTIC_MRV, 0, False)
-            s1, n1, b1, c1, w1 = _search.fc_search_python(*args)
-            s2, n2, b2, c2, w2 = _search.fc_search_compiled(*args)
-            assert (s1, n1, b1, c1) == (s2, n2, b2, c2)
-            assert list(w1) == list(w2)
+
+class TestCounterParity:
+    @pytest.mark.parametrize("family,forced", sorted(SMALL_FAMILY_COUNTERS))
+    def test_small_families(self, family, forced):
+        inst = generate(GenRequest(small_params(family), seed=derive_stream(2718, 2 * family + forced),
+                                   forced=forced))
+        got = []
+        for count_all in (False, True):
+            for heuristic in ("lex", "mrv"):
+                res = solve_csp(inst, SolveConfig(heuristic=heuristic, count_all=count_all))
+                got.append((res.status.value, res.nodes, res.backtracks, res.solutions))
+        assert tuple(got) == SMALL_FAMILY_COUNTERS[family, forced]
+
+    @pytest.mark.parametrize("model,k,n,alpha,r,forced,index,heuristic,status,nodes,backtracks",
+                             THRESHOLD_COUNTERS)
+    def test_at_threshold(self, model, k, n, alpha, r, forced, index, heuristic, status, nodes,
+                          backtracks):
+        params = CspParams(ModelKind(model), k, n, alpha, r, p_threshold(alpha, r))
+        seed = derive_stream(31415 if forced else 27182, index)
+        inst = generate(GenRequest(params, seed=seed, forced=forced))
+        res = solve_csp(inst, SolveConfig(heuristic=heuristic))
+        assert (res.status.value, res.nodes, res.backtracks) == (status, nodes, backtracks)
+
+
+class TestWitnessCheck:
+    def test_unsound_witness_raises(self, monkeypatch):
+        inst = unsat_instance()
+        monkeypatch.setattr(_search, "fc_search",
+                            lambda *args: (_search.STATUS_SAT, 1, 0, 1, (0,) * inst.params.n))
+        with pytest.raises(RbcspError, match="unsound witness, violates constraint 0"):
+            solve_csp(inst)
+
+    def test_tuple_space_guard(self):
+        params = CspParams(ModelKind.RB, 3, 120, 1.0, 0.01, 0.0)  # 120^3 > 2^20
+        inst = CspInstance(params, derive_sizes(params), (Constraint((0, 1, 2), ()),) * 6, seed=0)
+        with pytest.raises(SizeError, match="exceeds the solver bound"):
+            solve_csp(inst)
