@@ -14,8 +14,6 @@ attempts, ``backtracks`` counts retractions.
 
 from __future__ import annotations
 
-from .core import tuple_rank
-
 STATUS_SAT = 0
 STATUS_UNSAT = 1
 STATUS_LIMIT = 2
@@ -29,19 +27,17 @@ def active_backend() -> str:
 def _watch_lists(n, d, constraints):
     """Per variable, one ``(own_mult, others)`` entry per constraint on it,
     in constraint order.  ``others`` holds ``(var, mult, masks)`` for every
-    other scope position; ``masks`` maps the partial rank of a tuple (the
-    position's own coordinate zeroed) to the bitmask of that position's
-    forbidden values."""
+    other scope position; ``masks`` maps the partial rank of a forbidden
+    tuple (the position's own coordinate zeroed) to the bitmask of that
+    position's forbidden values."""
     watch = [[] for _ in range(n)]
     for con in constraints:
-        k = len(con.scope)
-        ranks = [tuple_rank(values, d) for values in con.incompatible]
         slots = []
         for j, u in enumerate(con.scope):
-            mult = d ** (k - 1 - j)
+            mult = d ** (len(con.scope) - 1 - j)
             masks = {}
-            for rank, values in zip(ranks, con.incompatible):
-                v = values[j]
+            for rank in con.incompatible:
+                v = rank // mult % d
                 partial = rank - v * mult
                 masks[partial] = masks.get(partial, 0) | 1 << v
             slots.append((u, mult, masks))

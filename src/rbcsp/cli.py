@@ -57,9 +57,13 @@ def _params_from(args) -> CspParams:
     )
 
 
-def _write(path: Path, text: str):
-    path.write_text(text, encoding="utf-8", newline="\n")
-    print(path)
+def _write(out: Path | str | None, text: str):
+    """Write text to the file `out` and print its path; to stdout without one."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8", newline="\n")
+        print(Path(out))
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_gen(args) -> int:
@@ -115,11 +119,7 @@ def _cmd_profile(args) -> int:
     lines = ["S,d_t,log_expected_random,log_expected_forced"]
     for rnd, frc in zip(random_points, forced_points):
         lines.append(f"{rnd.S},{rnd.d_t!r},{rnd.log_expected!r},{frc.log_expected!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -165,11 +165,7 @@ def _cmd_sweep(args) -> int:
         forced=args.forced,
         heuristic=args.heuristic,
     )
-    text = harness.sweep_csv(harness.sweep(spec))
-    if args.out:
-        _write(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, harness.sweep_csv(harness.sweep(spec)))
     return 0
 
 
@@ -183,11 +179,7 @@ def _cmd_scale(args) -> int:
         forced=not args.random,
         heuristic=args.heuristic,
     )
-    text = harness.scaling_csv(rows)
-    if args.out:
-        _write(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, harness.scaling_csv(rows))
     return 0
 
 

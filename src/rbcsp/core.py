@@ -9,11 +9,17 @@ half-away-from-zero.
 
 Variables and domain values are 0-indexed everywhere in memory; the file
 formats in :mod:`rbcsp.encoder` are 1-indexed.
+
+A constraint stores its forbidden tuples as ascending ranks: (v_1, ..., v_k)
+has rank sum_i v_i * d^(k-1-i) (:func:`tuple_rank`).  The generator draws
+ranks, the kernel and the check read them, and only the text formats in
+:mod:`rbcsp.encoder` decode them into value tuples.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -78,10 +84,10 @@ class CspParams:
             raise ParameterError(f"arity k must be >= 2, got {self.k}")
         if self.n < 2:
             raise ParameterError(f"variable count n must be >= 2, got {self.n}")
-        if not self.alpha > 0:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
-        if not self.r > 0:
-            raise ParameterError(f"r must be positive, got {self.r}")
+        if not 0 < self.alpha < math.inf:
+            raise ParameterError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 < self.r < math.inf:
+            raise ParameterError(f"r must be positive and finite, got {self.r}")
         if not 0.0 <= self.p <= 1.0:
             raise ParameterError(f"tightness p must be in [0, 1], got {self.p}")
 
@@ -110,23 +116,26 @@ class DerivedSizes:
 def derive_sizes(params: CspParams) -> DerivedSizes:
     """d = round(n^alpha), m = round(r n ln n), q = round(p d^k).
 
-    Rejects degenerate families (d < 2 or m < 1).
+    Rejects degenerate families (d < 2 or m < 1) and sizes beyond float range.
     """
-    d = round_half_away(params.n ** params.alpha)
-    m = round_half_away(params.r * params.n * math.log(params.n))
+    try:
+        d = round_half_away(params.n ** params.alpha)
+        m = round_half_away(params.r * params.n * math.log(params.n))
+        tuple_space = d ** params.k
+        q = round_half_away(params.p * tuple_space)
+    except OverflowError:
+        raise ParameterError(f"sizes overflow at n={params.n} alpha={params.alpha} r={params.r}") from None
     if d < 2:
         raise ParameterError(f"domain size d = {d} < 2 (n={params.n}, alpha={params.alpha})")
     if m < 1:
         raise ParameterError(f"constraint count m = {m} < 1 (n={params.n}, r={params.r})")
-    tuple_space = d ** params.k
-    q = round_half_away(params.p * tuple_space)
     return DerivedSizes(d=d, m=m, q=q, tuple_space=tuple_space)
 
 
 def tuple_rank(values, d: int) -> int:
     """Row-major rank of a value tuple: sum_i v_i * d^(k-1-i).
 
-    File formats and membership bitsets depend on this encoding; do not change.
+    Constraints, the kernel and the file formats depend on it; do not change.
     """
     rank = 0
     for v in values:
@@ -145,26 +154,16 @@ def rank_tuple(rank: int, d: int, k: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Constraint:
-    """Scope (k distinct variable indices, ascending) plus the forbidden tuples,
-    stored sorted by rank for deterministic serialization."""
+    """Scope (k distinct variable indices, ascending) plus the ranks of the
+    forbidden tuples, stored ascending for deterministic serialization."""
 
     scope: tuple[int, ...]
-    incompatible: tuple[tuple[int, ...], ...]
+    incompatible: tuple[int, ...]
 
     def __post_init__(self):
         if len(set(self.scope)) != len(self.scope):
             raise ParameterError(f"repeated variable in scope {self.scope}")
-        if any(len(t) != len(self.scope) for t in self.incompatible):
-            raise ParameterError("tuple arity does not match the scope")
         object.__setattr__(self, "incompatible", tuple(sorted(self.incompatible)))
-        object.__setattr__(self, "forbidden_set", frozenset(self.incompatible))
-        if len(self.forbidden_set) != len(self.incompatible):
-            raise ParameterError("duplicate incompatible tuples")
-
-    forbidden_set: frozenset = field(init=False, compare=False, repr=False, default=frozenset())
-
-    def violates(self, values: tuple[int, ...]) -> bool:
-        return values in self.forbidden_set
 
 
 @dataclass(frozen=True)
@@ -193,12 +192,15 @@ class CspInstance:
             raise ParameterError(
                 f"expected {self.sizes.m} constraints, got {len(self.constraints)}"
             )
-        if self.params.model is ModelKind.RB:
-            for i, con in enumerate(self.constraints):
-                if len(con.incompatible) != self.sizes.q:
-                    raise ParameterError(
-                        f"constraint {i} has {len(con.incompatible)} tuples, RB requires q = {self.sizes.q}"
-                    )
+        k, n, space = self.params.k, self.params.n, self.sizes.tuple_space
+        for i, con in enumerate(self.constraints):
+            scope, ranks = con.scope, con.incompatible
+            if len(scope) != k or min(scope) < 0 or max(scope) >= n:
+                raise ParameterError(f"constraint {i}: scope {scope} is not k={k} variables < n={n}")
+            if ranks and (ranks[0] < 0 or ranks[-1] >= space) or len(set(ranks)) != len(ranks):
+                raise ParameterError(f"constraint {i}: duplicate or out-of-range rank, d^k={space}")
+            if self.params.model is ModelKind.RB and len(ranks) != self.sizes.q:
+                raise ParameterError(f"constraint {i}: {len(ranks)} tuples, RB needs q={self.sizes.q}")
 
 
 @dataclass(frozen=True)
@@ -217,8 +219,9 @@ def check_assignment(instance: CspInstance, t: Assignment) -> CheckReport:
         if not 0 <= v < d:
             raise DimensionMismatchError(f"value {v} outside domain [0, {d})")
     for i, con in enumerate(instance.constraints):
-        projected = tuple(t.values[u] for u in con.scope)
-        if con.violates(projected):
+        rank = tuple_rank([t.values[u] for u in con.scope], d)
+        j = bisect_left(con.incompatible, rank)
+        if con.incompatible[j:j + 1] == (rank,):
             return CheckReport(satisfied=False, violated_index=i)
     return CheckReport(satisfied=True)
 

@@ -43,6 +43,7 @@ from .core import (
     ParameterError,
     ParseError,
     derive_sizes,
+    rank_tuple,
     tuple_rank,
 )
 
@@ -72,6 +73,13 @@ class CnfFormula:
 
 def _fmt_real(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _value_tuples(instance: CspInstance) -> dict[int, tuple[int, ...]]:
+    """The value tuple of every forbidden rank in the instance, decoded once."""
+    d, k = instance.sizes.d, instance.params.k
+    ranks = {rank for con in instance.constraints for rank in con.incompatible}
+    return {rank: rank_tuple(rank, d, k) for rank in ranks}
 
 
 def _split_clause(literals: list[int], width: int, next_aux: int) -> tuple[list[list[int]], int]:
@@ -123,9 +131,11 @@ def encode_cnf(instance: CspInstance, split_width: int | None = None) -> CnfForm
         for v in range(d):
             for w in range(v + 1, d):
                 clauses.append((-var(u, v), -var(u, w)))
+    values_of = _value_tuples(instance)
     for con in instance.constraints:
-        for values in con.incompatible:
-            clauses.append(tuple(-var(u, v) for u, v in zip(con.scope, values)))
+        bases = [-var(u, 0) for u in con.scope]  # -x(u, v) = -x(u, 0) - v
+        for rank in con.incompatible:
+            clauses.append(tuple(b - v for b, v in zip(bases, values_of[rank])))
 
     p = instance.params
     meta = (
@@ -206,10 +216,11 @@ def write_csp_native(instance: CspInstance) -> str:
         ),
         f"sizes {instance.sizes.d} {instance.sizes.m}",
     ]
+    t_line = {rank: "t " + " ".join(str(v + 1) for v in values)
+              for rank, values in _value_tuples(instance).items()}
     for con in instance.constraints:
         lines.append("c " + " ".join(str(u + 1) for u in con.scope))
-        for values in con.incompatible:
-            lines.append("t " + " ".join(str(v + 1) for v in values))
+        lines.extend(map(t_line.__getitem__, con.incompatible))
     return "\n".join(lines) + "\n"
 
 
@@ -220,6 +231,18 @@ def read_csp_native(text: str) -> CspInstance:
 
     def fail(no: int, msg: str):
         raise ParseError(no + 1, msg)
+
+    def indices(no: int, fields: list[str], what: str, bound: int) -> list[int]:
+        """The k 1-indexed entries of a 'c' or 't' line, 0-indexed, in [0, bound)."""
+        if len(fields) != params.k + 1:
+            fail(no, f"{fields[0]} line needs {params.k} {what}, got {len(fields) - 1}")
+        try:
+            out = [int(f) - 1 for f in fields[1:]]
+        except ValueError:
+            fail(no, f"non-integer {what} in {' '.join(fields)!r}")
+        if any(not 0 <= x < bound for x in out):
+            fail(no, f"{what} out of range in {' '.join(fields)!r}")
+        return out
 
     if not lines or lines[0].strip() != "RBCSP 1":
         fail(0, "expected header 'RBCSP 1'")
@@ -252,14 +275,14 @@ def read_csp_native(text: str) -> CspInstance:
 
     constraints: list[Constraint] = []
     scope: tuple[int, ...] | None = None
-    tuples: list[tuple[int, ...]] = []
+    ranks: list[int] = []
 
     def flush(no: int):
         if scope is None:
             return
-        if params.model is ModelKind.RB and len(tuples) != sizes.q:
-            fail(no, f"RB constraint has {len(tuples)} tuples, expected q = {sizes.q}")
-        constraints.append(Constraint(scope=scope, incompatible=tuple(tuples)))
+        if params.model is ModelKind.RB and len(ranks) != sizes.q:
+            fail(no, f"RB constraint has {len(ranks)} tuples, expected q = {sizes.q}")
+        constraints.append(Constraint(scope=scope, incompatible=tuple(ranks)))
 
     for no, line in enumerate(lines[3:], start=3):
         stripped = line.strip()
@@ -268,29 +291,15 @@ def read_csp_native(text: str) -> CspInstance:
         fields = stripped.split()
         if fields[0] == "c":
             flush(no)
-            if len(fields) != params.k + 1:
-                fail(no, f"scope needs {params.k} variables, got {len(fields) - 1}")
-            try:
-                scope = tuple(int(f) - 1 for f in fields[1:])
-            except ValueError:
-                fail(no, f"non-integer variable index in {stripped!r}")
-            if any(not 0 <= u < params.n for u in scope):
-                fail(no, f"variable index out of range in {stripped!r}")
-            tuples = []
+            scope = tuple(indices(no, fields, "variables", params.n))
+            ranks = []
         elif fields[0] == "t":
             if scope is None:
                 fail(no, "tuple line before any constraint line")
-            if len(fields) != params.k + 1:
-                fail(no, f"tuple needs {params.k} values, got {len(fields) - 1}")
-            try:
-                values = tuple(int(f) - 1 for f in fields[1:])
-            except ValueError:
-                fail(no, f"non-integer value in {stripped!r}")
-            if any(not 0 <= v < sizes.d for v in values):
-                fail(no, f"value out of range in {stripped!r}")
-            if tuples and tuple_rank(values, sizes.d) <= tuple_rank(tuples[-1], sizes.d):
+            rank = tuple_rank(indices(no, fields, "values", sizes.d), sizes.d)
+            if ranks and rank <= ranks[-1]:
                 fail(no, "tuples out of ascending rank order")
-            tuples.append(values)
+            ranks.append(rank)
         else:
             fail(no, f"unrecognized line {stripped!r}")
     flush(len(lines))

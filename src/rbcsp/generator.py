@@ -37,7 +37,6 @@ from .core import (
     ForcedInfeasibleError,
     ModelKind,
     derive_sizes,
-    rank_tuple,
     tuple_rank,
 )
 from .rng import SplitMix64, derive_stream
@@ -110,15 +109,12 @@ def generate(request: GenRequest) -> CspInstance:
 
     constraints = []
     for scope in scopes:
-        hidden_rank = None
-        if hidden_t is not None:
-            hidden_rank = tuple_rank([hidden_t[u] for u in scope], d)
+        hidden_rank = None if hidden_t is None else tuple_rank([hidden_t[u] for u in scope], d)
         if params.model is ModelKind.RB:
             ranks = _rb_ranks(rng, space, q, hidden_rank)
         else:
             ranks = _rd_ranks(rng, space, params.p, hidden_rank)
-        tuples = tuple(rank_tuple(rk, d, k) for rk in ranks)
-        constraints.append(Constraint(scope=scope, incompatible=tuples))
+        constraints.append(Constraint(scope=scope, incompatible=tuple(ranks)))
 
     return CspInstance(
         params=params,

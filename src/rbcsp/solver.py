@@ -24,12 +24,14 @@ from .core import (
     RbcspError,
     SizeError,
     check_assignment,
+    tuple_rank,
 )
 from .encoder import CnfFormula
 
 __all__ = ["SolveConfig", "SolveResult", "SolveStatus", "solve_csp", "enumerate_solutions", "dpll"]
 
 MAX_TUPLE_SPACE = 1 << 20
+MAX_DPLL_VARS = 1 << 16  # dpll recurses per split and copies the assignment per node
 ENUM_ADVISORY = 10 ** 7
 
 
@@ -92,12 +94,12 @@ def enumerate_solutions(instance: CspInstance, cap: int | None = None) -> int:
     d = instance.sizes.d
     if d ** n > ENUM_ADVISORY:
         warnings.warn(f"enumerating d^n = {d ** n} assignments; this will be slow", stacklevel=2)
-    sets = [(con.scope, con.forbidden_set) for con in instance.constraints]
+    sets = [(con.scope, frozenset(con.incompatible)) for con in instance.constraints]
     count = 0
     for values in product(range(d), repeat=n):
         ok = True
         for scope, forbidden in sets:
-            if tuple(values[u] for u in scope) in forbidden:
+            if tuple_rank([values[u] for u in scope], d) in forbidden:
                 ok = False
                 break
         if ok:
@@ -112,6 +114,8 @@ def dpll(cnf: CnfFormula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     variable, true branch first.  With count_all, counts every model
     (free variables contribute a factor 2 each)."""
     num_vars = cnf.num_vars
+    if num_vars > MAX_DPLL_VARS:
+        raise SizeError(f"{num_vars} CNF variables exceed the DPLL bound {MAX_DPLL_VARS}")
     clauses = cnf.clauses
     limit = cfg.node_limit
     state = {"nodes": 0, "backtracks": 0, "solutions": 0, "witness": None, "limit": False}

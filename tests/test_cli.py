@@ -85,6 +85,22 @@ class TestGenCmd:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "10", "--alpha", "0.8", "--r", "inf", "--p", "0.3", "--seed", "1"],
+        ["gen", "--n", "10", "--alpha", "inf", "--r", "1", "--p", "0.3", "--seed", "1"],
+        ["gen", "--n", "10", "--alpha", "0.8", "--r", "1e308", "--p", "0.3", "--seed", "1"],
+        ["gen", "--n", "10", "--alpha", "300", "--r", "1", "--p", "0.3", "--seed", "1"],
+        ["thresholds", "--alpha", "400", "--p", "0.3", "--n", "10"],
+    ])
+    def test_nonfinite_or_overflowing_params_exit_2(self, capsys, tmp_path, argv):
+        if argv[0] == "gen":
+            argv = argv + ["--out-dir", str(tmp_path)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("rbcsp: error: ")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSolveCmd:
     def test_roundtrip_gen_solve(self, capsys, tmp_path):
@@ -140,6 +156,8 @@ class TestSolveCmd:
         b"p cnf 2 1\n1 2\n",
         b"p cnf 2 3\n1 2 0\n",
         b"p cnf 1 1\n1 0 \xff\n",  # not UTF-8
+        b"p cnf 2147483648 0\n",  # more variables than a C int
+        b"p cnf 100000000 0\n",
     ])
     def test_malformed_dimacs_exit_2(self, capsys, tmp_path, data):
         path = tmp_path / "bad.cnf"

@@ -52,6 +52,15 @@ class TestDeriveSizes:
         with pytest.raises(ParameterError):
             derive_sizes(params(n=2, alpha=1.0, r=0.1))
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(n=10, alpha=400.0),  # n^alpha beyond float range
+        dict(n=10, alpha=200.0),  # d^k beyond float range
+        dict(n=10, r=1e308),  # r n ln n beyond float range
+    ])
+    def test_rejects_overflowing_sizes(self, kwargs):
+        with pytest.raises(ParameterError, match="overflow"):
+            derive_sizes(params(**kwargs))
+
 
 class TestRounding:
     @pytest.mark.parametrize("x,expected", [
@@ -74,6 +83,13 @@ class TestParamsValidation:
         with pytest.raises(ParameterError):
             params(alpha=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", math.inf), ("alpha", math.nan), ("r", math.inf), ("r", math.nan),
+    ])
+    def test_rejects_nonfinite(self, field, value):
+        with pytest.raises(ParameterError, match="finite"):
+            params(**{field: value})
+
     def test_from_sizes_reproduces(self):
         p = CspParams.from_sizes(ModelKind.RD, 2, 4, 3, 6, 0.3)
         sizes = derive_sizes(p)
@@ -95,7 +111,7 @@ class TestTupleRank:
 def single_constraint_instance():
     p = params(n=2, alpha=1.0, r=1 / (2 * math.log(2)), p=0.25)
     sizes = derive_sizes(p)
-    con = Constraint(scope=(0, 1), incompatible=((0, 1),))
+    con = Constraint(scope=(0, 1), incompatible=(1,))  # forbids (0, 1)
     return CspInstance(params=p, sizes=sizes, constraints=(con,), seed=0)
 
 
@@ -123,7 +139,7 @@ class TestCheckAssignment:
             inst = generate(GenRequest(fam, seed=derive_stream(31337, i)))
             for values in itertools.product(range(3), repeat=5):
                 expected = all(
-                    tuple(values[u] for u in con.scope) not in con.forbidden_set
+                    tuple_rank([values[u] for u in con.scope], 3) not in con.incompatible
                     for con in inst.constraints
                 )
                 assert check_assignment(inst, Assignment(values)).satisfied == expected
@@ -181,17 +197,29 @@ class TestConstraint:
         with pytest.raises(ParameterError):
             Constraint(scope=(1, 1), incompatible=())
 
+    @staticmethod
+    def rd_instance(con):
+        p = params(model=ModelKind.RD)  # k=2 n=4 d=2 m=6
+        return CspInstance(params=p, sizes=derive_sizes(p), constraints=(con,) * 6, seed=0)
+
     def test_rejects_duplicate_tuples(self):
-        with pytest.raises(ParameterError):
-            Constraint(scope=(0, 1), incompatible=((0, 1), (0, 1)))
+        self.rd_instance(Constraint(scope=(0, 1), incompatible=(1, 3)))
+        with pytest.raises(ParameterError, match="duplicate"):
+            self.rd_instance(Constraint(scope=(0, 1), incompatible=(1, 1)))
 
     def test_rejects_arity_mismatch(self):
-        with pytest.raises(ParameterError):
-            Constraint(scope=(0, 1), incompatible=((0, 1, 2),))
+        # ranks live in [0, d^k) = [0, 4) and scopes hold k = 2 variables of [0, 4)
+        self.rd_instance(Constraint(scope=(2, 3), incompatible=(0, 3)))
+        for con in (Constraint(scope=(0, 1), incompatible=(4,)),
+                    Constraint(scope=(0, 1), incompatible=(-1,)),
+                    Constraint(scope=(0, 1, 2), incompatible=()),
+                    Constraint(scope=(0, 4), incompatible=())):
+            with pytest.raises(ParameterError):
+                self.rd_instance(con)
 
     def test_canonicalizes_tuple_order(self):
-        con = Constraint(scope=(0, 1), incompatible=((1, 0), (0, 1)))
-        assert con.incompatible == ((0, 1), (1, 0))
+        con = Constraint(scope=(0, 1), incompatible=(2, 1))
+        assert con.incompatible == (1, 2)
 
     def test_instance_rejects_wrong_constraint_count(self):
         p = params()
@@ -201,6 +229,6 @@ class TestConstraint:
     def test_instance_rejects_rb_with_wrong_q(self):
         p = params(p=0.5)  # q = 2
         sizes = derive_sizes(p)
-        cons = tuple(Constraint((0, 1), ((0, 0),)) for _ in range(sizes.m))
+        cons = tuple(Constraint((0, 1), (0,)) for _ in range(sizes.m))
         with pytest.raises(ParameterError):
             CspInstance(params=p, sizes=sizes, constraints=cons, seed=0)

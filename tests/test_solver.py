@@ -38,7 +38,7 @@ def p0_instance(n=4):
 def unsat_instance():
     params = CspParams(ModelKind.RD, 2, 4, 0.5, 1.0, 0.5)
     inst = generate(GenRequest(params, seed=1))
-    every = tuple(itertools.product(range(2), repeat=2))
+    every = tuple(range(4))
     cons = (Constraint((0, 1), every),) + inst.constraints[1:]
     return CspInstance(inst.params, inst.sizes, cons, seed=1)
 
@@ -129,7 +129,7 @@ class TestEnumerate:
 
     def test_two_var_example(self):
         params = CspParams(ModelKind.RD, 2, 2, 1.0, 1 / (2 * math.log(2)), 0.25)
-        con = Constraint(scope=(0, 1), incompatible=((0, 1),))
+        con = Constraint(scope=(0, 1), incompatible=(1,))  # forbids (0, 1)
         inst = CspInstance(params, derive_sizes(params), (con,), seed=0)
         assert enumerate_solutions(inst) == 3
 
@@ -150,9 +150,13 @@ class TestDpll:
         assert res.status is SolveStatus.UNSAT
         assert res.nodes == 0
 
+    def test_rejects_oversized_variable_count(self):
+        with pytest.raises(SizeError, match="DPLL bound"):
+            dpll(CnfFormula(num_vars=2 ** 31, clauses=()))
+
     def test_two_var_example_three_models(self):
         params = CspParams(ModelKind.RD, 2, 2, 1.0, 1 / (2 * math.log(2)), 0.25)
-        con = Constraint(scope=(0, 1), incompatible=((0, 1),))
+        con = Constraint(scope=(0, 1), incompatible=(1,))  # forbids (0, 1)
         inst = CspInstance(params, derive_sizes(params), (con,), seed=0)
         res = dpll(encode_cnf(inst), SolveConfig(count_all=True))
         assert res.status is SolveStatus.SAT
