@@ -259,10 +259,10 @@ def read_csp_native(text: str) -> CspInstance:
             alpha=float(parts[4]), r=float(parts[5]), p=float(parts[6]),
         )
         seed = int(parts[7])
+        sizes = derive_sizes(params)
     except (ValueError, ParameterError) as exc:
         raise ParseError(2, f"bad params line: {exc}") from None
 
-    sizes = derive_sizes(params)
     parts = lines[2].split()
     if len(parts) != 3 or parts[0] != "sizes":
         fail(2, "expected 'sizes <d> <m>'")
@@ -292,6 +292,8 @@ def read_csp_native(text: str) -> CspInstance:
         if fields[0] == "c":
             flush(no)
             scope = tuple(indices(no, fields, "variables", params.n))
+            if len(set(scope)) != len(scope):
+                fail(no, f"repeated variable in {stripped!r}")
             ranks = []
         elif fields[0] == "t":
             if scope is None:

@@ -23,11 +23,20 @@ Sorting scopes before the tuple draws does not change the distribution
 (tuple coordinates are permuted consistently), and excluding the hidden
 rank is exactly the conditional law of rejection sampling whole
 constraints against the hidden assignment.
+
+Every loop below pulls raw draws from the stream's ``draws`` iterator and
+inlines ``next_below``'s rejection and ``next_float``'s coin (``x <
+ceil(p 2^53) 2^11`` is exactly ``(x >> 11) 2^-53 < p``), so this protocol is
+unchanged draw for draw: a rejection consumes exactly one raw draw and
+shifts every later draw by one.  An instance that needs more than
+``MAX_GEN_DRAWS`` draws raises ``SizeError`` before the first draw.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import (
     Assignment,
@@ -36,12 +45,15 @@ from .core import (
     CspParams,
     ForcedInfeasibleError,
     ModelKind,
+    SizeError,
     derive_sizes,
     tuple_rank,
 )
 from .rng import SplitMix64, derive_stream
 
-__all__ = ["GenRequest", "generate", "derive_stream"]
+__all__ = ["GenRequest", "generate", "derive_stream", "MAX_GEN_DRAWS"]
+
+MAX_GEN_DRAWS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -51,39 +63,36 @@ class GenRequest:
     forced: bool = False
 
 
-def _draw_scope(rng: SplitMix64, n: int, k: int) -> tuple[int, ...]:
-    idx = list(range(n))
-    for j in range(k):
-        t = j + rng.next_below(n - j)
-        idx[j], idx[t] = idx[t], idx[j]
-    return tuple(sorted(idx[:k]))
+def _draw_scope(draws: Iterator[int], n: int, k: int) -> tuple[int, ...]:
+    """Partial Fisher-Yates over range(n); `moved` holds only displaced entries."""
+    moved: dict[int, int] = {}
+    scope = []
+    for j, x in zip(range(k), draws):
+        bound = n - j
+        while x < bound and x < (1 << 64) % bound:
+            x = next(draws)
+        t = j + x % bound
+        scope.append(moved.get(t, t))
+        moved[t] = moved.get(j, j)
+    return tuple(sorted(scope))
 
 
-def _floyd_subset(rng: SplitMix64, space: int, q: int) -> list[int]:
-    """Uniform q-subset of [0, space) in exactly q draws."""
+def _floyd_subset(draws: Iterator[int], space: int, q: int) -> list[int]:
+    """Uniform q-subset of [0, space) in exactly q next_below draws."""
     chosen: set[int] = set()
-    for j in range(space - q, space):
-        t = rng.next_below(j + 1)
+    for j, x in zip(range(space - q, space), draws):
+        bound = j + 1
+        while x < bound and x < (1 << 64) % bound:
+            x = next(draws)
+        t = x % bound
         chosen.add(j if t in chosen else t)
     return sorted(chosen)
 
 
-def _rb_ranks(rng: SplitMix64, space: int, q: int, hidden: int | None) -> list[int]:
-    if hidden is None:
-        return _floyd_subset(rng, space, q)
-    # Sample from the space with the hidden rank removed, then shift back.
-    ranks = _floyd_subset(rng, space - 1, q)
-    return [rk + 1 if rk >= hidden else rk for rk in ranks]
-
-
-def _rd_ranks(rng: SplitMix64, space: int, p: float, hidden: int | None) -> list[int]:
-    ranks = []
-    for rk in range(space):
-        if rk == hidden:
-            continue
-        if rng.next_float() < p:
-            ranks.append(rk)
-    return ranks
+def _coin_walk(draws: Iterator[int], space: int, p: float) -> list[int]:
+    """Ranks in [0, space) whose p-coin, one per rank in ascending order, came up."""
+    limit = math.ceil(p * 2.0 ** 53) << 11
+    return [rk for rk, x in zip(range(space), draws) if x < limit]
 
 
 def generate(request: GenRequest) -> CspInstance:
@@ -98,22 +107,28 @@ def generate(request: GenRequest) -> CspInstance:
             raise ForcedInfeasibleError(f"q = d^k = {space}: no tuple left to protect")
         if params.model is ModelKind.RD and params.p >= 1.0:
             raise ForcedInfeasibleError("p = 1: every tuple would be forbidden")
+    draw_count = n + m * (k + (q if params.model is ModelKind.RB else space))
+    if draw_count > MAX_GEN_DRAWS:
+        raise SizeError(f"instance needs about {draw_count} draws, more than {MAX_GEN_DRAWS}")
 
     rng = SplitMix64(request.seed)
+    draws = rng.draws
 
-    hidden_t: Assignment | None = None
-    if request.forced:
-        hidden_t = Assignment(tuple(rng.next_below(d) for _ in range(n)))
+    hidden_t = Assignment(tuple(rng.next_below(d) for _ in range(n))) if request.forced else None
 
-    scopes = [_draw_scope(rng, n, k) for _ in range(m)]
+    scopes = [_draw_scope(draws, n, k) for _ in range(m)]
 
     constraints = []
     for scope in scopes:
-        hidden_rank = None if hidden_t is None else tuple_rank([hidden_t[u] for u in scope], d)
+        size = space if hidden_t is None else space - 1
         if params.model is ModelKind.RB:
-            ranks = _rb_ranks(rng, space, q, hidden_rank)
+            ranks = _floyd_subset(draws, size, q)
         else:
-            ranks = _rd_ranks(rng, space, params.p, hidden_rank)
+            ranks = _coin_walk(draws, size, params.p)
+        if hidden_t is not None:
+            # drawn from the space with the hidden rank removed: shift back
+            hidden_rank = tuple_rank([hidden_t[u] for u in scope], d)
+            ranks = [rk + (rk >= hidden_rank) for rk in ranks]
         constraints.append(Constraint(scope=scope, incompatible=tuple(ranks)))
 
     return CspInstance(

@@ -11,12 +11,19 @@ Sebastiano Vigna (http://prng.di.unimi.it/splitmix64.c):
     z      <- (z XOR (z >> 27)) * 0x94D049BB133111EB   mod 2^64
     output <- z XOR (z >> 31)
 
+Raw draw i of the stream seeded with s is ``mix64(s + (i + 1) * GAMMA)``.
+:class:`SplitMix64` computes ``BLOCK`` = 1024 of them at a time in plain
+Python ints: the states are 64-bit lanes spaced 128 bits apart in one int,
+so each step of ``mix64`` is one bigint op over the block, and a 64x64-bit
+product fits its lane without carrying into the next.  The lanes' low 64
+bits are read back as little-endian words, whatever the host's byte order.
+
 Derived draws are defined on top of the raw 64-bit stream:
 
 * ``next_below(bound)`` draws uniformly from ``[0, bound)`` by rejection:
   draws ``x`` are rejected while ``x < 2^64 mod bound``; the first accepted
   ``x`` yields ``x mod bound``.  The accepted range has size a multiple of
-  ``bound``, so the result is exactly uniform.
+  ``bound``, so the result is exactly uniform; each rejection is one draw.
 * ``next_float()`` maps a draw to ``[0, 1)`` as ``(x >> 11) * 2^-53``.
 
 ``derive_stream(base_seed, index)`` is the stateless batch-seed derivation:
@@ -29,10 +36,15 @@ seeds.
 
 from __future__ import annotations
 
+import struct
+from functools import cache
+from itertools import chain, count
+
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
+BLOCK = 1024  # raw draws computed per block
 
 _INV_2_53 = 1.0 / (1 << 53)
 
@@ -52,28 +64,48 @@ def derive_stream(base_seed: int, index: int) -> int:
     return mix64((base_seed + (index + 1) * GAMMA) & MASK64)
 
 
-class SplitMix64:
-    """Sequential splitmix64 stream over the documented constants."""
+@cache
+def _lanes():
+    """Block constants, built once: a 1 in every lane, (i + 1) * GAMMA in
+    lane i, the low-64-bit mask of every lane, and the lane reader."""
+    ones = int.from_bytes(b"\1".ljust(16, b"\0") * BLOCK, "little")
+    gamma_lanes = b"".join(((i + 1) * GAMMA).to_bytes(16, "little") for i in range(BLOCK))
+    gammas = int.from_bytes(gamma_lanes, "little")
+    return ones, gammas, MASK64 * ones, struct.Struct("<" + "Q8x" * BLOCK).unpack
 
-    __slots__ = ("_state",)
+
+def _block(state: int) -> tuple[int, ...]:
+    """The BLOCK raw draws that follow `state`: mix64(state + (i + 1) * GAMMA)."""
+    ones, gammas, low, unpack = _lanes()
+    z = ((state & MASK64) * ones + gammas) & low
+    z = (z ^ (z >> 30)) & low
+    z = z * MIX1 & low
+    z = (z ^ (z >> 27)) & low
+    z = z * MIX2 & low
+    return unpack((z ^ (z >> 31)).to_bytes(16 * BLOCK, "little"))
+
+
+class SplitMix64:
+    """splitmix64 stream; the methods and ``next(draws)`` share one iterator."""
+
+    __slots__ = ("draws",)
 
     def __init__(self, seed: int):
-        self._state = seed & MASK64
+        self.draws = chain.from_iterable(map(_block, count(seed & MASK64, BLOCK * GAMMA)))
 
     def next_u64(self) -> int:
-        self._state = (self._state + GAMMA) & MASK64
-        return mix64(self._state)
+        return next(self.draws)
 
     def next_below(self, bound: int) -> int:
         """Exactly uniform integer in [0, bound) via modulo rejection."""
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
         threshold = (1 << 64) % bound
-        x = self.next_u64()
+        x = next(self.draws)
         while x < threshold:
-            x = self.next_u64()
+            x = next(self.draws)
         return x % bound
 
     def next_float(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * _INV_2_53
+        return (next(self.draws) >> 11) * _INV_2_53

@@ -90,6 +90,7 @@ class TestGenCmd:
         ["gen", "--n", "10", "--alpha", "inf", "--r", "1", "--p", "0.3", "--seed", "1"],
         ["gen", "--n", "10", "--alpha", "0.8", "--r", "1e308", "--p", "0.3", "--seed", "1"],
         ["gen", "--n", "10", "--alpha", "300", "--r", "1", "--p", "0.3", "--seed", "1"],
+        ["gen", "--n", "10", "--alpha", "0.8", "--r", "1e300", "--p", "0.3", "--seed", "1"],
         ["thresholds", "--alpha", "400", "--p", "0.3", "--n", "10"],
     ])
     def test_nonfinite_or_overflowing_params_exit_2(self, capsys, tmp_path, argv):

@@ -1,15 +1,19 @@
+import dataclasses
 import hashlib
 import itertools
 import math
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from rbcsp.core import (
     Assignment,
     Constraint,
     CspInstance,
     CspParams,
+    ForcedInfeasibleError,
     ModelKind,
+    ParameterError,
     ParseError,
     derive_sizes,
 )
@@ -248,6 +252,19 @@ class TestNativeFormat:
             read_csp_native(text)
         assert "line 3" in str(exc.value)
 
+    def test_repeated_scope_variable_names_line(self):
+        text = "RBCSP 1\nparams rb 2 4 0.5 1 0.5 3\nsizes 2 6\n" + "c 1 2\nt 1 1\nt 1 2\n" * 2 + "c 3 3\n"
+        with pytest.raises(ParseError) as exc:
+            read_csp_native(text)
+        assert "line 10" in str(exc.value)
+        assert "repeated variable" in str(exc.value)
+
+    def test_degenerate_params_line_is_parse_error(self):
+        # alpha so small that d rounds to 1: derive_sizes rejects the family
+        with pytest.raises(ParseError) as exc:
+            read_csp_native("RBCSP 1\nparams rb 2 4 0.01 1 0.5 3\nsizes 1 6\n")
+        assert "line 2" in str(exc.value)
+
     def test_rb_wrong_tuple_count(self):
         # q = 2 for these params, give one tuple only
         text = (
@@ -288,3 +305,93 @@ def test_output_bytes_golden(model, k, forced, digest):
 def test_solution_sidecar_format():
     text = write_solution(Assignment((0, 2, 1)))
     assert text == "1 1\n2 3\n3 2\n"
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def generated_instances(draw):
+    """Small generated instances of either model, arity 2 or 3, random or forced."""
+    model = draw(st.sampled_from(ModelKind))
+    k = draw(st.sampled_from([2, 3]))
+    n, d, m = draw(st.integers(k, 7)), draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    p = draw(st.floats(0.0, 1.0))
+    try:
+        params = CspParams.from_sizes(model, k, n, d, m, p)
+        return generate(GenRequest(params, seed=draw(st.integers(0, 2 ** 64 - 1)), forced=draw(st.booleans())))
+    except (ParameterError, ForcedInfeasibleError):
+        reject()
+
+
+@PROPERTY
+@given(inst=generated_instances())
+def test_native_write_read_is_identity(inst):
+    assert read_csp_native(write_csp_native(inst)) == dataclasses.replace(inst, forced=None)
+
+
+@PROPERTY
+@given(inst=generated_instances(), split_width=st.sampled_from([None, 3, 4]))
+def test_dimacs_write_read_is_identity(inst, split_width):
+    cnf = encode_cnf(inst, split_width)
+    back = read_dimacs(write_dimacs(cnf))
+    assert (back.num_vars, back.clauses) == (cnf.num_vars, cnf.clauses)
+
+
+_JUNK = ["", "x", "1.5", "nan", "inf", "1e-9", "1e999", "c", "t", "p", "cnf", "%", "rb", "rd"]
+_EDITS = ["token", "token", "token", "delete", "duplicate", "swap", "char", "truncate"]
+
+
+@st.composite
+def mutated(draw, text):
+    """`text` after one to three edits: replace a token (most often with a
+    small integer), delete, duplicate or swap a line, insert a character, or
+    cut the file short."""
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            lines = [[draw(st.sampled_from(_JUNK))]]
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(_EDITS))
+        if edit == "token" and lines[i]:
+            token = draw(st.integers(-1, 5).map(str) | st.sampled_from(_JUNK))
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = token
+        elif edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, list(lines[i]))
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "char":
+            line = " ".join(lines[i])
+            at = draw(st.integers(0, len(line)))
+            lines[i] = (line[:at] + draw(st.sampled_from(" 0123456789-.xectp%")) + line[at:]).split()
+        elif edit == "truncate":
+            lines = lines[:i]
+    return "\n".join(" ".join(line) for line in lines) + draw(st.sampled_from(["\n", ""]))
+
+
+_SEEDS_FOR_MUTATION = [
+    generate(GenRequest(CspParams.from_sizes(ModelKind.RB, 2, 3, 2, 2, 0.25), seed=5, forced=True)),
+    generate(GenRequest(CspParams.from_sizes(ModelKind.RD, 3, 4, 2, 2, 0.4), seed=6)),
+]
+
+
+@PROPERTY
+@given(text=st.sampled_from([write_csp_native(inst) for inst in _SEEDS_FOR_MUTATION]).flatmap(mutated))
+def test_mutated_native_text_raises_only_parse_error(text):
+    try:
+        read_csp_native(text)
+    except ParseError:
+        pass
+
+
+@PROPERTY
+@given(text=st.sampled_from([write_dimacs(encode_cnf(inst, 3)) for inst in _SEEDS_FOR_MUTATION]).flatmap(mutated))
+def test_mutated_dimacs_text_raises_only_parse_error(text):
+    try:
+        read_dimacs(text)
+    except ParseError:
+        pass

@@ -9,13 +9,14 @@ from rbcsp.core import (
     CspParams,
     ForcedInfeasibleError,
     ModelKind,
+    SizeError,
     check_assignment,
     derive_sizes,
     tuple_rank,
 )
 from rbcsp.encoder import write_csp_native
-from rbcsp.generator import GenRequest, generate
-from rbcsp.rng import SplitMix64, derive_stream
+from rbcsp.generator import MAX_GEN_DRAWS, GenRequest, generate
+from rbcsp.rng import GAMMA, MASK64, SplitMix64, derive_stream, mix64
 
 
 def test_rb_exact_q_per_constraint():
@@ -187,3 +188,123 @@ def test_rd_p1_random_all_incompatible():
     inst = generate(GenRequest(params, seed=3))
     for con in inst.constraints:
         assert len(con.incompatible) == 4
+
+
+class ScalarSplitMix64:
+    """Vigna's splitmix64 one draw at a time, counting rejected draws."""
+
+    def __init__(self, seed):
+        self.state = seed & MASK64
+        self.rejections = 0
+
+    def next_u64(self):
+        self.state = (self.state + GAMMA) & MASK64
+        return mix64(self.state)
+
+    def next_below(self, bound):
+        threshold = (1 << 64) % bound
+        x = self.next_u64()
+        while x < threshold:
+            self.rejections += 1
+            x = self.next_u64()
+        return x % bound
+
+    def next_float(self):
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+
+def reference_generate(params, seed, forced):
+    """The documented draw protocol written out call by call on the scalar
+    stream: (hidden assignment, constraints as (scope, ranks), rejections)."""
+    sizes = derive_sizes(params)
+    d, m, q, space = sizes.d, sizes.m, sizes.q, sizes.tuple_space
+    n, k = params.n, params.k
+    rng = ScalarSplitMix64(seed)
+    hidden = tuple(rng.next_below(d) for _ in range(n)) if forced else None
+    scopes = []
+    for _ in range(m):
+        idx = list(range(n))
+        for j in range(k):
+            t = j + rng.next_below(n - j)
+            idx[j], idx[t] = idx[t], idx[j]
+        scopes.append(tuple(sorted(idx[:k])))
+    constraints = []
+    for scope in scopes:
+        hidden_rank = None if hidden is None else tuple_rank([hidden[u] for u in scope], d)
+        if params.model is ModelKind.RB:
+            size = space if hidden is None else space - 1
+            chosen = set()
+            for j in range(size - q, size):
+                t = rng.next_below(j + 1)
+                chosen.add(j if t in chosen else t)
+            ranks = sorted(rk + 1 if hidden is not None and rk >= hidden_rank else rk for rk in chosen)
+        else:
+            ranks = [rk for rk in range(space) if rk != hidden_rank and rng.next_float() < params.p]
+        constraints.append((scope, tuple(ranks)))
+    return hidden, constraints, rng.rejections
+
+
+RB12 = (ModelKind.RB, 2, 12, 0.8, 1.5, 0.3)  # d=7 m=45 q=15
+RB20 = (ModelKind.RB, 2, 20, 0.8, 1.5, 0.4)  # d=11 m=90 q=48: draws 1023/1024 are Floyd draws
+RD3 = (ModelKind.RD, 3, 10, 1.0, 1.0, 1 - math.exp(-1.0))  # d=10 m=23: 23k coins, 23 blocks
+
+
+@pytest.mark.parametrize("family,forced,draw,rejections", [
+    (RB12, True, "hidden", 1),
+    (RB12, False, "scope", 1),
+    (RB12, True, "scope", 1),
+    (RB12, False, "floyd", 1),
+    (RB12, True, "floyd", 1),
+    (RB20, False, 1023, 1),
+    (RB20, False, 1024, 1),
+    (RB20, True, 1023, 1),
+    (RD3, True, "hidden", 1),
+    (RD3, True, "scope", 1),
+    (RD3, True, 1024, 0),  # a coin: a zero draw is a head, not a rejection
+])
+def test_zero_draw_matches_scalar_reference(family, forced, draw, rejections):
+    """mix64(0) == 0, so seed -(i+1)*GAMMA makes raw draw i zero, and every
+    next_below with a bound that is not a power of two rejects it.  The
+    rejection must shift every later draw by exactly one."""
+    params = CspParams(*family)
+    sizes = derive_sizes(params)
+    first_scope = params.n if forced else 0
+    i = {"hidden": 0, "scope": first_scope, "floyd": first_scope + sizes.m * params.k}.get(draw, draw)
+    seed = (-(i + 1) * GAMMA) & MASK64
+    assert mix64(seed + (i + 1) * GAMMA) == 0
+    hidden, constraints, rejected = reference_generate(params, seed, forced)
+    assert rejected == rejections
+    inst = generate(GenRequest(params, seed=seed, forced=forced))
+    assert [(con.scope, con.incompatible) for con in inst.constraints] == constraints
+    assert (inst.forced.values if forced else None) == hidden
+
+
+@pytest.mark.parametrize("family", [RB12, RD3])
+@pytest.mark.parametrize("forced", [False, True])
+def test_matches_scalar_reference(family, forced):
+    params = CspParams(*family)
+    for i in range(5):
+        seed = derive_stream(31337, i)
+        hidden, constraints, _ = reference_generate(params, seed, forced)
+        inst = generate(GenRequest(params, seed=seed, forced=forced))
+        assert [(con.scope, con.incompatible) for con in inst.constraints] == constraints
+        assert (inst.forced.values if forced else None) == hidden
+
+
+@pytest.mark.parametrize("model,k,n,alpha,r,p", [
+    (ModelKind.RB, 2, 10, 0.8, 1e300, 0.3),  # m has 302 digits
+    (ModelKind.RB, 2, 10, 0.8, 1e300, 0.0),  # q = 0: the scope draws alone are too many
+    (ModelKind.RD, 2, 10, 7.0, 1.0, 0.3),  # d^k = 10^14 coins per constraint
+])
+def test_oversized_generation_rejected_before_drawing(monkeypatch, model, k, n, alpha, r, p):
+    monkeypatch.setattr("rbcsp.generator.SplitMix64", None)  # any draw would fail
+    with pytest.raises(SizeError):
+        generate(GenRequest(CspParams(model, k, n, alpha, r, p), seed=1))
+
+
+def test_generation_bound_covers_benchmark_point():
+    params = CspParams(ModelKind.RB, 2, 59, 0.8, 2.780845, 0.25)  # d=26 m=669 q=169
+    sizes = derive_sizes(params)
+    assert params.n + sizes.m * (params.k + sizes.q) < MAX_GEN_DRAWS
+    inst = generate(GenRequest(params, seed=1, forced=True))
+    assert len(inst.constraints) == 669

@@ -1,6 +1,9 @@
-import pytest
+from itertools import islice
 
-from rbcsp.rng import MASK64, SplitMix64, derive_stream, mix64
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rbcsp.rng import BLOCK, GAMMA, MASK64, SplitMix64, derive_stream, mix64
 
 
 def test_derive_stream_deterministic():
@@ -66,3 +69,28 @@ def test_next_float_in_unit_interval():
     xs = [rng.next_float() for _ in range(10_000)]
     assert all(0.0 <= x < 1.0 for x in xs)
     assert abs(sum(xs) / len(xs) - 0.5) < 0.02
+
+
+# start offsets on and next to block edges, plus anywhere in the first three blocks
+_offsets = st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1]) | st.integers(0, 3 * BLOCK)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(-(1 << 66), 1 << 66), start=_offsets, length=st.integers(0, BLOCK + 2))
+def test_block_stream_is_vigna_sequence(seed, start, length):
+    """Raw draw i of the stream seeded with s is mix64(s + (i + 1) * GAMMA)."""
+    got = list(islice(SplitMix64(seed).draws, start, start + length))
+    assert got == [mix64(seed + (i + 1) * GAMMA) for i in range(start, start + length)]
+
+
+@pytest.mark.parametrize("i", [0, 5, BLOCK - 1, BLOCK, 2 * BLOCK])
+def test_rejection_consumes_exactly_one_draw(i):
+    # mix64(0) == 0, so this seed makes raw draw i zero, which next_below(3)
+    # rejects (2^64 mod 3 = 1); the draws after it move up by exactly one
+    seed = (-(i + 1) * GAMMA) & MASK64
+    raw = [mix64(seed + (j + 1) * GAMMA) for j in range(i + 3)]
+    assert raw[i] == 0
+    rng = SplitMix64(seed)
+    assert [rng.next_u64() for _ in range(i)] == raw[:i]
+    assert rng.next_below(3) == raw[i + 1] % 3
+    assert rng.next_float() == (raw[i + 2] >> 11) * 2.0 ** -53
