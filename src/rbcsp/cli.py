@@ -50,6 +50,23 @@ def _add_params_args(sub, need_seed=True):
         sub.add_argument("--seed", type=int, required=True)
 
 
+def _add_run_args(sub):
+    sub.add_argument("--samples", type=int, default=100)
+    sub.add_argument("--node-limit", type=int, default=10_000_000)
+    sub.add_argument("--heuristic", choices=["lex", "mrv"], default="mrv")
+
+
+def _list_of(kind):
+    """argparse type: a comma-separated list of `kind` values, as a tuple."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}") from None
+    return parse
+
+
 def _params_from(args) -> CspParams:
     return CspParams(
         model=ModelKind(args.model), k=args.k, n=args.n,
@@ -158,7 +175,7 @@ def _cmd_sweep(args) -> int:
     spec = harness.SweepSpec(
         base=_params_from(args),
         axis=args.axis,
-        values=tuple(float(v) for v in args.values.split(",")),
+        values=args.values,
         samples_per_point=args.samples,
         base_seed=args.seed,
         node_limit=args.node_limit,
@@ -172,7 +189,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_scale(args) -> int:
     rows = harness.scaling_study(
         base=_params_from(args),
-        n_values=tuple(int(v) for v in args.n_values.split(",")),
+        n_values=args.n_values,
         samples=args.samples,
         base_seed=args.seed,
         node_limit=args.node_limit,
@@ -252,29 +269,24 @@ def build_parser() -> _Parser:
     swp = subs.add_parser("sweep", help="SAT fraction and cost across an axis")
     _add_params_args(swp)
     swp.add_argument("--axis", choices=["p", "r"], required=True)
-    swp.add_argument("--values", required=True, help="comma-separated, ascending")
-    swp.add_argument("--samples", type=int, default=100)
-    swp.add_argument("--node-limit", type=int, default=10_000_000)
+    swp.add_argument("--values", type=_list_of(float), required=True,
+                     help="comma-separated, ascending")
+    _add_run_args(swp)
     swp.add_argument("--forced", action="store_true")
-    swp.add_argument("--heuristic", choices=["lex", "mrv"], default="mrv")
     swp.add_argument("--out", default=None)
     swp.set_defaults(func=_cmd_sweep)
 
     scl = subs.add_parser("scale", help="hardness growth in n at fixed (k, alpha, r, p)")
     _add_params_args(scl)
-    scl.add_argument("--n-values", required=True, help="comma-separated")
-    scl.add_argument("--samples", type=int, default=100)
-    scl.add_argument("--node-limit", type=int, default=10_000_000)
+    scl.add_argument("--n-values", type=_list_of(int), required=True, help="comma-separated")
+    _add_run_args(scl)
     scl.add_argument("--random", action="store_true", help="random instead of forced instances")
-    scl.add_argument("--heuristic", choices=["lex", "mrv"], default="mrv")
     scl.add_argument("--out", default=None)
     scl.set_defaults(func=_cmd_scale)
 
     cmp = subs.add_parser("compare-forced", help="forced vs random-satisfiable cost")
     _add_params_args(cmp)
-    cmp.add_argument("--samples", type=int, default=100)
-    cmp.add_argument("--node-limit", type=int, default=10_000_000)
-    cmp.add_argument("--heuristic", choices=["lex", "mrv"], default="mrv")
+    _add_run_args(cmp)
     cmp.set_defaults(func=_cmd_compare_forced)
 
     val = subs.add_parser("validate", help="run the oracle and moment self-checks")
@@ -293,10 +305,7 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except RbcspError as exc:
-        print(f"rbcsp: error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except (RbcspError, OSError, UnicodeDecodeError) as exc:
         print(f"rbcsp: error: {exc}", file=sys.stderr)
         return 2
 

@@ -121,10 +121,12 @@ def derive_sizes(params: CspParams) -> DerivedSizes:
     try:
         d = round_half_away(params.n ** params.alpha)
         m = round_half_away(params.r * params.n * math.log(params.n))
+        if params.k * math.log2(d) > 1100:  # p * d^k would overflow; d^k itself takes seconds
+            raise OverflowError
         tuple_space = d ** params.k
         q = round_half_away(params.p * tuple_space)
     except OverflowError:
-        raise ParameterError(f"sizes overflow at n={params.n} alpha={params.alpha} r={params.r}") from None
+        raise ParameterError(f"sizes overflow at k={params.k} n={params.n} alpha={params.alpha} r={params.r}") from None
     if d < 2:
         raise ParameterError(f"domain size d = {d} < 2 (n={params.n}, alpha={params.alpha})")
     if m < 1:

@@ -7,8 +7,8 @@ Cost statistics use medians first (search costs at the threshold are heavy
 tailed); means are reported alongside.  Runs stopped by the node limit are
 "censored": they are counted separately, and excluded from the median only
 while they are fewer than half the samples (past that the median of all
-runs, censored ones held at their cutoff counts, is reported as a lower
-bound).  ``sat_fraction`` is taken over completed runs only.
+runs, a censored one counting ``node_limit + 1`` nodes, is reported as a
+lower bound).  ``sat_fraction`` is taken over completed runs only.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ class SweepSpec:
             raise ParameterError("sweep needs at least one axis value")
         if list(self.values) != sorted(self.values):
             raise ParameterError("axis values must be sorted ascending")
-        if self.samples_per_point < 1:
-            raise ParameterError("samples_per_point must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -91,27 +89,32 @@ def _point_stats(axis_value: float, results: list[SolveResult]) -> ExperimentRec
     )
 
 
-def _solve_batch(params: CspParams, forced: bool, seeds, cfg: SolveConfig) -> list[SolveResult]:
-    results = []
+def _runs(params: CspParams, forced: bool, seeds, cfg: SolveConfig):
+    """Generate and solve one instance per seed, lazily.  The only place the
+    harness calls ``generate`` and ``solve_csp``."""
     for seed in seeds:
-        instance = generate(GenRequest(params=params, seed=seed, forced=forced))
-        results.append(solve_csp(instance, cfg))
-    return results
+        yield solve_csp(generate(GenRequest(params=params, seed=seed, forced=forced)), cfg)
+
+
+def _grid(points, samples: int, base_seed: int, node_limit: int, forced: bool,
+          heuristic: str) -> list[ExperimentRecord]:
+    """One record per ``(axis_value, params)`` point; run i of point j
+    uses stream ``j * samples + i``."""
+    if samples < 1:
+        raise ParameterError(f"samples per point must be >= 1, got {samples}")
+    cfg = SolveConfig(node_limit=node_limit, heuristic=heuristic)
+    records = []
+    for j, (axis_value, params) in enumerate(points):
+        seeds = (derive_stream(base_seed, j * samples + i) for i in range(samples))
+        records.append(_point_stats(axis_value, list(_runs(params, forced, seeds, cfg))))
+    return records
 
 
 def sweep(spec: SweepSpec) -> list[ExperimentRecord]:
     """Solve samples_per_point instances at each axis value."""
-    cfg = SolveConfig(node_limit=spec.node_limit, heuristic=spec.heuristic)
-    records = []
-    for j, value in enumerate(spec.values):
-        params = dataclasses.replace(spec.base, **{spec.axis: value})
-        seeds = [
-            derive_stream(spec.base_seed, j * spec.samples_per_point + i)
-            for i in range(spec.samples_per_point)
-        ]
-        results = _solve_batch(params, spec.forced, seeds, cfg)
-        records.append(_point_stats(value, results))
-    return records
+    points = ((v, dataclasses.replace(spec.base, **{spec.axis: v})) for v in spec.values)
+    return _grid(points, spec.samples_per_point, spec.base_seed, spec.node_limit,
+                 spec.forced, spec.heuristic)
 
 
 def crossing_estimate(records: list[ExperimentRecord]) -> float | None:
@@ -135,14 +138,8 @@ def scaling_study(
 ) -> list[tuple[int, ExperimentRecord]]:
     """Hardness growth in n at fixed (k, alpha, r, p): forced instances
     solved per n, medians reported."""
-    cfg = SolveConfig(node_limit=node_limit, heuristic=heuristic)
-    out = []
-    for j, n in enumerate(n_values):
-        params = dataclasses.replace(base, n=n)
-        seeds = [derive_stream(base_seed, j * samples + i) for i in range(samples)]
-        results = _solve_batch(params, forced, seeds, cfg)
-        out.append((n, _point_stats(float(n), results)))
-    return out
+    points = ((float(n), dataclasses.replace(base, n=n)) for n in n_values)
+    return list(zip(n_values, _grid(points, samples, base_seed, node_limit, forced, heuristic)))
 
 
 @dataclass(frozen=True)
@@ -169,10 +166,10 @@ def forced_vs_random(
     forced_seed_base = derive_stream(base_seed, 1)
     random_seed_base = derive_stream(base_seed, 2)
 
-    forced_results = _solve_batch(
-        params, True, [derive_stream(forced_seed_base, i) for i in range(samples)], cfg
-    )
-    forced_nodes = [r.nodes for r in forced_results if r.status is SolveStatus.SAT]
+    forced_seeds = (derive_stream(forced_seed_base, i) for i in range(samples))
+    forced_nodes = [
+        r.nodes for r in _runs(params, True, forced_seeds, cfg) if r.status is SolveStatus.SAT
+    ]
     if len(forced_nodes) < 10:
         raise InsufficientSamplesError(
             f"only {len(forced_nodes)} forced runs finished within the node limit"
@@ -181,13 +178,12 @@ def forced_vs_random(
     random_nodes = []
     discarded = 0
     budget = budget_factor * samples
-    for i in range(budget):
-        if len(random_nodes) >= samples:
-            break
-        instance = generate(GenRequest(params=params, seed=derive_stream(random_seed_base, i)))
-        res = solve_csp(instance, cfg)
+    random_seeds = (derive_stream(random_seed_base, i) for i in range(budget))
+    for res in _runs(params, False, random_seeds, cfg):
         if res.status is SolveStatus.SAT:
             random_nodes.append(res.nodes)
+            if len(random_nodes) == samples:
+                break
         elif res.status is SolveStatus.UNSAT:
             discarded += 1
     if len(random_nodes) < 10:
@@ -207,27 +203,17 @@ def forced_vs_random(
     )
 
 
-def _csv_cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _csv(header: tuple[str, ...], rows) -> str:
+    lines = [",".join(header)]
+    lines += [",".join(repr(x) if isinstance(x, float) else str(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def sweep_csv(records: list[ExperimentRecord]) -> str:
-    lines = ["axis_value,sat_fraction,median_nodes,mean_nodes,censored,samples"]
-    for rec in records:
-        lines.append(",".join(_csv_cell(x) for x in (
-            rec.axis_value, rec.sat_fraction, rec.median_nodes,
-            rec.mean_nodes, rec.censored, rec.samples,
-        )))
-    return "\n".join(lines) + "\n"
+    columns = ("axis_value", "sat_fraction", "median_nodes", "mean_nodes", "censored", "samples")
+    return _csv(columns, ([getattr(rec, c) for c in columns] for rec in records))
 
 
 def scaling_csv(rows: list[tuple[int, ExperimentRecord]]) -> str:
-    lines = ["n,median_nodes,sat_fraction,mean_nodes,censored,samples"]
-    for n, rec in rows:
-        lines.append(",".join(_csv_cell(x) for x in (
-            n, rec.median_nodes, rec.sat_fraction,
-            rec.mean_nodes, rec.censored, rec.samples,
-        )))
-    return "\n".join(lines) + "\n"
+    columns = ("median_nodes", "sat_fraction", "mean_nodes", "censored", "samples")
+    return _csv(("n", *columns), ([n, *(getattr(rec, c) for c in columns)] for n, rec in rows))

@@ -1,8 +1,16 @@
+import argparse
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from rbcsp.cli import cli_main
+from rbcsp.cli import build_parser, cli_main
+from rbcsp.core import CspParams, ModelKind
+from rbcsp.encoder import write_csp_native
+from rbcsp.generator import GenRequest, generate
 
 
 def run(capsys, *argv):
@@ -92,6 +100,9 @@ class TestGenCmd:
         ["gen", "--n", "10", "--alpha", "300", "--r", "1", "--p", "0.3", "--seed", "1"],
         ["gen", "--n", "10", "--alpha", "0.8", "--r", "1e300", "--p", "0.3", "--seed", "1"],
         ["thresholds", "--alpha", "400", "--p", "0.3", "--n", "10"],
+        # d^k is never computed for a huge arity
+        ["gen", "--n", "10", "--k", "99999999999999999999", "--alpha", "0.8", "--r", "1",
+         "--p", "0.3", "--seed", "1"],
     ])
     def test_nonfinite_or_overflowing_params_exit_2(self, capsys, tmp_path, argv):
         if argv[0] == "gen":
@@ -214,6 +225,17 @@ class TestSweepScaleCmd:
         run(capsys, *argv, str(tmp_path / "b.csv"))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis", "p", "--values", "0.3"], ["scale", "--n-values", "6,8"],
+    ], ids=lambda argv: argv[0])
+    def test_nonpositive_samples_exit_2(self, capsys, argv, samples):
+        code, out, err = run(capsys, *argv, "--n", "8", "--alpha", "0.8", "--r", "1.5",
+                             "--p", "0.3", "--seed", "1", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("rbcsp: error: samples per point must be >= 1")
+
     def test_compare_forced_output(self, capsys):
         code, out, _ = run(capsys, "compare-forced", "--model", "rb", "--k", "2",
                            "--n", "8", "--alpha", "0.8", "--r", "1.5", "--p", "0.25",
@@ -238,3 +260,112 @@ class TestUsageErrors:
     def test_no_command(self, capsys):
         code, _, _ = run(capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis", "p", "--values", value] for value in ("0.2,abc", "1,,2", "")
+    ] + [
+        ["scale", "--n-values", value]
+        for value in ("8,x", "8,1.5", "0.5", "inf", "nan", "1e308", "")
+    ])
+    def test_malformed_list_flag(self, capsys, argv):
+        params = ["--n", "8", "--alpha", "0.8", "--r", "1.5", "--p", "0.3", "--seed", "1",
+                  "--samples", "2"]
+        code, out, err = run(capsys, *argv, *params)
+        assert code == 1
+        assert out == ""
+        assert f"error: argument {argv[-2]}: expected comma-separated" in err
+
+
+# One small valid command line per subcommand; {csp} and {cnf} are tiny
+# instance files and {out} an output directory.
+PARAMS = ["--n", "6", "--alpha", "0.8", "--r", "1.5", "--p", "0.3"]
+RUN = ["--seed", "1", "--samples", "2", "--node-limit", "1000"]
+SMALL_ARGV = {
+    "gen": ["gen", *PARAMS, "--seed", "1", "--out-dir", "{out}"],
+    "thresholds": ["thresholds", "--alpha", "0.8", "--p", "0.3", "--r", "1.5", "--n", "6"],
+    "profile": ["profile", *PARAMS],
+    "encode": ["encode", "{csp}", "--out", "{out}/x.cnf"],
+    "solve": ["solve", "{csp}", "--node-limit", "1000"],
+    "solve.cnf": ["solve", "{cnf}", "--node-limit", "1000"],
+    "sweep": ["sweep", *PARAMS, *RUN, "--axis", "p", "--values", "0.2,0.4"],
+    "scale": ["scale", *PARAMS, *RUN, "--n-values", "6,8"],
+    "compare-forced": ["compare-forced", *PARAMS, *RUN],
+    "validate": ["validate", "--seed", "1", "--instances", "2"],
+}
+# none is a large integer, so no count flag (--samples, --count, --instances,
+# --n of thresholds and profile) starts a long run
+EDGE_VALUES = ["-1", "0", "1", "0.5", "nan", "inf", "-inf", "1e308", "x", "", "1,,2"]
+NOT_VARIED = {"--out", "--out-dir", "--model", "--axis"}
+
+
+def _subcommands() -> dict:
+    actions = build_parser()._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _edge_cases():
+    subcommands = _subcommands()
+    for name, base in SMALL_ARGV.items():
+        for action in subcommands[base[0]]._actions:
+            flag = action.option_strings[0] if action.option_strings else None
+            if flag is None or action.nargs == 0 or flag in NOT_VARIED:
+                continue
+            for value in EDGE_VALUES:
+                if flag in base:
+                    argv = list(base)
+                    argv[argv.index(flag) + 1] = value
+                else:
+                    argv = [*base, flag, value]
+                yield pytest.param(argv, id=f"{name} {flag} {value!r}")
+
+
+def test_small_argv_covers_every_subcommand():
+    assert set(_subcommands()) == {argv[0] for argv in SMALL_ARGV.values()}
+
+
+class TestEdgeValues:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("edge")
+        params = CspParams(ModelKind.RB, 2, 6, 0.8, 1.5, 0.3)
+        (root / "x.csp").write_text(write_csp_native(generate(GenRequest(params=params, seed=1))))
+        (root / "x.cnf").write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
+        (root / "out").mkdir()
+        return {"csp": root / "x.csp", "cnf": root / "x.cnf", "out": root / "out"}
+
+    @pytest.mark.parametrize("argv", list(_edge_cases()))
+    def test_exit_code_without_traceback(self, capsys, files, argv):
+        argv = [a.format(**files) for a in argv]
+        code = cli_main(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv
+
+
+BLOCK_IMPORTS = """
+import sys
+class Block:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in ("numpy", "hypothesis", "pytest"):
+            raise ImportError(f"{name} is blocked")
+sys.meta_path.insert(0, Block())
+from rbcsp.cli import cli_main
+sys.exit(cli_main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", *PARAMS, "--seed", "1", "--format", "both", "--forced", "--emit-solution"],
+    ["sweep", *PARAMS, *RUN, "--axis", "p", "--values", "0.2,0.4"],
+    ["validate", "--seed", "1", "--instances", "4"],
+], ids=lambda argv: argv[0])
+def test_runs_without_test_dependencies(tmp_path, argv):
+    """The package needs only mpmath: numpy, hypothesis and pytest are
+    blocked from import in a fresh interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    if argv[0] == "gen":
+        argv = [*argv, "--out-dir", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCK_IMPORTS, *argv], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

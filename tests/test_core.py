@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 
@@ -60,6 +61,13 @@ class TestDeriveSizes:
     def test_rejects_overflowing_sizes(self, kwargs):
         with pytest.raises(ParameterError, match="overflow"):
             derive_sizes(params(**kwargs))
+
+    def test_huge_arity_rejected_before_exponentiating(self):
+        # d^k with k = 10^7 is a 2.6e7-bit integer: computing it takes seconds
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match="overflow"):
+            derive_sizes(params(k=10**7, n=10, alpha=0.8))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestRounding:

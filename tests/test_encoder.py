@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -264,6 +265,13 @@ class TestNativeFormat:
         with pytest.raises(ParseError) as exc:
             read_csp_native("RBCSP 1\nparams rb 2 4 0.01 1 0.5 3\nsizes 1 6\n")
         assert "line 2" in str(exc.value)
+
+    def test_huge_arity_params_line_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            read_csp_native("RBCSP 1\nparams rb 10000000 10 0.8 1 0.3 1\nsizes 6 23\n")
+        assert "line 2" in str(exc.value)
+        assert time.perf_counter() - start < 1.0
 
     def test_rb_wrong_tuple_count(self):
         # q = 2 for these params, give one tuple only

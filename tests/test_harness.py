@@ -126,6 +126,17 @@ class TestScaling:
             assert rec.median_nodes == n
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("driver", ["sweep", "scaling_study"])
+def test_nonpositive_samples_rejected(driver, samples):
+    with pytest.raises(ParameterError, match="samples per point"):
+        if driver == "sweep":
+            sweep(SweepSpec(base=base_params(), axis="p", values=(0.3,),
+                            samples_per_point=samples, base_seed=0, node_limit=10))
+        else:
+            scaling_study(base_params(), (6,), samples=samples, base_seed=0, node_limit=10)
+
+
 class TestForcedVsRandom:
     def test_p0_ratio_one(self):
         summary = forced_vs_random(base_params(p=0.0), samples=10, base_seed=3, node_limit=100_000)
