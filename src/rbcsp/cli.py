@@ -16,6 +16,7 @@ from .core import (
     Assignment,
     CspParams,
     ModelKind,
+    ParameterError,
     RbcspError,
     derive_sizes,
 )
@@ -84,6 +85,10 @@ def _write(out: Path | str | None, text: str):
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 1:
+        raise ParameterError(f"count must be >= 1, got {args.count}")
+    if args.split_width is not None and args.split_width < 3:
+        raise ParameterError(f"split_width must be >= 3, got {args.split_width}")
     params = _params_from(args)
     sizes = derive_sizes(params)
     out_dir = Path(args.out_dir)

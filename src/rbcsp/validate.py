@@ -8,7 +8,7 @@ import math
 import statistics
 
 from .analysis import first_moment_log, forced_expected_count_log
-from .core import CspParams, ModelKind
+from .core import CspParams, ModelKind, ParameterError
 from .encoder import encode_cnf
 from .generator import GenRequest, generate
 from .rng import derive_stream
@@ -90,6 +90,8 @@ def moment_suite(seed: int, instances: int, sigmas: float = 4.0) -> list[str]:
 
 
 def run_validation(seed: int, instances: int = 200, verbose: bool = False) -> bool:
+    if instances < 1:
+        raise ParameterError(f"instances must be >= 1, got {instances}")
     total, failures = oracle_equivalence_suite(seed, instances)
     if verbose:
         tag = "PASS" if not failures else "FAIL"

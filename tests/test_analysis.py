@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -331,6 +332,35 @@ class TestFlawedProbabilities:
         for i in (1, 5, 40):
             v = flawed_prob_rb(64, 2, 2048, i)
             assert 0.0 <= v <= 1.0
+
+
+def exact_flawed_prob_rb(d, k, q, i):
+    """Reference oracle: the inclusion-exclusion sum in exact rationals,
+    C(N-j, q)/C(N, q) taken from math.comb, rounded to float once."""
+    N = d ** k
+    total = sum((-1) ** j * math.comb(d, j) * Fraction(math.comb(N - j, q), math.comb(N, q)) ** i
+                for j in range(d + 1))
+    return min(1.0, max(0.0, float(total)))
+
+
+class TestFlawedExactOracle:
+    @pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (5, 2), (8, 2), (2, 3), (3, 3), (16, 2)])
+    def test_rb_equals_exact_sum(self, d, k):
+        N = d ** k
+        for q in sorted({1, 2, 3, N // 4, N // 2, 3 * N // 4, N - 1, N}):
+            for i in (1, 2, 3, 7, 20):
+                assert flawed_prob_rb(d, k, q, i) == exact_flawed_prob_rb(d, k, q, i), (q, i)
+
+    @pytest.mark.parametrize("d,k,q,i", [(3, 2, 1, 1), (5, 2, 2, 2), (64, 2, 1, 63), (64, 3, 7, 9)])
+    def test_rb_exact_zero_when_iq_below_d(self, d, k, q, i):
+        # i constraints with q forbidden tuples each flaw at most i*q values
+        assert exact_flawed_prob_rb(d, k, q, i) == 0.0
+        assert flawed_prob_rb(d, k, q, i) == 0.0
+
+    @pytest.mark.parametrize("d,k,q,i", [(64, 2, 2, 40), (64, 2, 64, 1), (64, 2, 2048, 5),
+                                         (32, 3, 100, 4)])
+    def test_rb_heavy_cancellation(self, d, k, q, i):
+        assert flawed_prob_rb(d, k, q, i) == exact_flawed_prob_rb(d, k, q, i)
 
 
 class TestEffectiveTightness:

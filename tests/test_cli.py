@@ -341,11 +341,34 @@ class TestEdgeValues:
         assert code in (0, 1, 2), argv
 
 
+class TestRejectedBeforeAnyOutput:
+    """Values the edge-value table accepts with any exit code, pinned to exit
+    2 with nothing written."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["validate", "--seed", "1", "--instances", "0"], "instances must be >= 1"),
+        (["validate", "--seed", "1", "--instances", "-1"], "instances must be >= 1"),
+        (["gen", *PARAMS, "--seed", "1", "--count", "0"], "count must be >= 1"),
+        (["gen", *PARAMS, "--seed", "1", "--count", "-1"], "count must be >= 1"),
+        (["gen", *PARAMS, "--seed", "1", "--split-width", "1"], "split_width must be >= 3"),
+        (["gen", *PARAMS, "--seed", "1", "--split-width", "2"], "split_width must be >= 3"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_exit_2(self, capsys, tmp_path, argv, message):
+        out_dir = tmp_path / "out"
+        if argv[0] == "gen":
+            argv = [*argv, "--out-dir", str(out_dir)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"rbcsp: error: {message}")
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 BLOCK_IMPORTS = """
 import sys
 class Block:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] in ("numpy", "hypothesis", "pytest"):
+        if name.split(".")[0] in ("mpmath", "numpy", "hypothesis", "pytest"):
             raise ImportError(f"{name} is blocked")
 sys.meta_path.insert(0, Block())
 from rbcsp.cli import cli_main
@@ -359,8 +382,8 @@ sys.exit(cli_main(sys.argv[1:]))
     ["validate", "--seed", "1", "--instances", "4"],
 ], ids=lambda argv: argv[0])
 def test_runs_without_test_dependencies(tmp_path, argv):
-    """The package needs only mpmath: numpy, hypothesis and pytest are
-    blocked from import in a fresh interpreter."""
+    """The package has no runtime dependencies: mpmath, numpy, hypothesis
+    and pytest are blocked from import in a fresh interpreter."""
     src = Path(__file__).resolve().parent.parent / "src"
     if argv[0] == "gen":
         argv = [*argv, "--out-dir", str(tmp_path)]
