@@ -14,9 +14,13 @@ attempts, ``backtracks`` counts retractions.
 
 from __future__ import annotations
 
-STATUS_SAT = 0
-STATUS_UNSAT = 1
-STATUS_LIMIT = 2
+from enum import Enum
+
+
+class SolveStatus(Enum):
+    SAT = "SAT"
+    UNSAT = "UNSAT"
+    LIMIT = "LIMIT"
 
 
 def active_backend() -> str:
@@ -61,7 +65,7 @@ def fc_search(n, d, constraints, mrv, node_limit, count_all):
     untried = [0] * n  # values of chosen[depth] not yet tried, as a bitmask
     nodes = backtracks = solutions = 0
     witness = None
-    status = STATUS_UNSAT
+    status = SolveStatus.UNSAT
 
     def select(dom):
         best = -1
@@ -85,15 +89,10 @@ def fc_search(n, d, constraints, mrv, node_limit, count_all):
             if witness is None:
                 witness = tuple(assign)
             if not count_all:
-                status = STATUS_SAT
                 break
-            # treat the solution as a dead end and keep searching
-            depth -= 1
-            assign[chosen[depth]] = -1
-            backtracks += 1
-            continue
-
-        rest = untried[depth]
+            rest = 0  # treat the solution as a dead end and keep searching
+        else:
+            rest = untried[depth]
         if not rest:
             # values exhausted at this depth
             if depth == 0:
@@ -105,7 +104,7 @@ def fc_search(n, d, constraints, mrv, node_limit, count_all):
 
         nodes += 1
         if node_limit is not None and nodes > node_limit:
-            status = STATUS_LIMIT
+            status = SolveStatus.LIMIT
             break
         low = rest & -rest
         untried[depth] = rest ^ low
@@ -147,6 +146,6 @@ def fc_search(n, d, constraints, mrv, node_limit, count_all):
             assign[var] = -1
             backtracks += 1
 
-    if count_all and solutions > 0 and status == STATUS_UNSAT:
-        status = STATUS_SAT
+    if solutions and status is SolveStatus.UNSAT:
+        status = SolveStatus.SAT
     return status, nodes, backtracks, solutions, witness

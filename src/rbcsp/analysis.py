@@ -231,24 +231,26 @@ def threesat_profile_exponent(d_t: float, r: float, forced: bool) -> float:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID_STEP = 1e-3
+_ARGMAX_TOL = 1e-6
 
 
-def maximize_exponent(f, grid_step: float = 1e-3, tol: float = 1e-6) -> tuple[float, float]:
+def maximize_exponent(f) -> tuple[float, float]:
     """Argmax of f on [0, 1]: coarse grid scan, then golden-section search
-    on the bracketing cell pair down to `tol`."""
-    steps = int(round(1.0 / grid_step))
+    on the bracketing cell pair down to `_ARGMAX_TOL`."""
+    steps = int(round(1.0 / _GRID_STEP))
     best_i, best_v = 0, -math.inf
     for i in range(steps + 1):
-        v = f(i * grid_step)
+        v = f(i * _GRID_STEP)
         if v > best_v:
             best_i, best_v = i, v
-    lo = max(0.0, (best_i - 1) * grid_step)
-    hi = min(1.0, (best_i + 1) * grid_step)
+    lo = max(0.0, (best_i - 1) * _GRID_STEP)
+    hi = min(1.0, (best_i + 1) * _GRID_STEP)
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    while b - a > _ARGMAX_TOL:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)

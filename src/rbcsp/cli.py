@@ -225,7 +225,7 @@ def _cmd_compare_forced(args) -> int:
 def _cmd_validate(args) -> int:
     from .validate import run_validation
 
-    ok = run_validation(seed=args.seed, instances=args.instances, verbose=True)
+    ok = run_validation(seed=args.seed, instances=args.instances)
     return 0 if ok else 2
 
 

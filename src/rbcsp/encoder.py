@@ -33,6 +33,7 @@ format; on request it goes to a sidecar ``.solution`` file of 1-indexed
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .core import (
     Assignment,
@@ -83,29 +84,20 @@ def _value_tuples(instance: CspInstance) -> dict[int, tuple[int, ...]]:
 
 
 def _split_clause(literals: list[int], width: int, next_aux: int) -> tuple[list[list[int]], int]:
-    """Chain decomposition of a wide clause into width-<=w pieces.
+    """Chain decomposition of a clause into width-<=w pieces.
 
-    Each link carries the previous auxiliary negated, a chunk of original
-    literals, and a fresh carry auxiliary; the carry means "no literal so
-    far was true".
+    While the clause is wider than w, its first w - 1 literals and a fresh
+    auxiliary form one piece, and the auxiliary, negated, leads the rest;
+    the auxiliary means "no literal so far was true".  A clause that fits
+    comes back unchanged.
     """
-    chunks: list[list[int]] = []
-    rest = literals
-    carry: int | None = None
-    while True:
-        room = width - (1 if carry is not None else 0)
-        if len(rest) <= room:
-            chunk = ([-carry] if carry is not None else []) + rest
-            chunks.append(chunk)
-            break
-        take = room - 1
-        aux = next_aux
+    pieces = []
+    while len(literals) > width:
+        pieces.append(literals[:width - 1] + [next_aux])
+        literals = [-next_aux] + literals[width - 1:]
         next_aux += 1
-        chunk = ([-carry] if carry is not None else []) + rest[:take] + [aux]
-        chunks.append(chunk)
-        carry = aux
-        rest = rest[take:]
-    return chunks, next_aux
+    pieces.append(literals)
+    return pieces, next_aux
 
 
 def encode_cnf(instance: CspInstance, split_width: int | None = None) -> CnfFormula:
@@ -121,16 +113,10 @@ def encode_cnf(instance: CspInstance, split_width: int | None = None) -> CnfForm
     clauses: list[tuple[int, ...]] = []
     next_aux = n * d + 1
     for u in range(n):
-        domain = [var(u, v) for v in range(d)]
-        if split_width is not None and len(domain) > split_width:
-            pieces, next_aux = _split_clause(domain, split_width, next_aux)
-            clauses.extend(tuple(p) for p in pieces)
-        else:
-            clauses.append(tuple(domain))
+        pieces, next_aux = _split_clause([var(u, v) for v in range(d)], split_width or d, next_aux)
+        clauses.extend(map(tuple, pieces))
     for u in range(n):
-        for v in range(d):
-            for w in range(v + 1, d):
-                clauses.append((-var(u, v), -var(u, w)))
+        clauses.extend(combinations([-var(u, v) for v in range(d)], 2))
     values_of = _value_tuples(instance)
     for con in instance.constraints:
         bases = [-var(u, 0) for u in con.scope]  # -x(u, v) = -x(u, 0) - v

@@ -9,10 +9,10 @@ with the instance seed and consumed in this order:
 2. scopes, constraint by constraint: each scope is k partial Fisher-Yates
    draws over a fresh identity array of the n variable indices
    (``next_below(n - j)`` offsets for j = 0..k-1), then sorted ascending;
-3. forbidden-tuple sets, constraint by constraint:
+3. forbidden-tuple sets, constraint by constraint, each stored ascending:
 
    * RB draws a uniform q-subset of the d^k tuple ranks with Floyd's
-     algorithm (exactly q ``next_below`` calls), sorted ascending;
+     algorithm (exactly q ``next_below`` calls);
    * RD walks ranks 0..d^k-1 and marks each incompatible when
      ``next_float() < p``;
    * forced variants exclude the rank the hidden assignment induces on the
@@ -77,7 +77,7 @@ def _draw_scope(draws: Iterator[int], n: int, k: int) -> tuple[int, ...]:
     return tuple(sorted(scope))
 
 
-def _floyd_subset(draws: Iterator[int], space: int, q: int) -> list[int]:
+def _floyd_subset(draws: Iterator[int], space: int, q: int) -> set[int]:
     """Uniform q-subset of [0, space) in exactly q next_below draws."""
     chosen: set[int] = set()
     for j, x in zip(range(space - q, space), draws):
@@ -86,7 +86,7 @@ def _floyd_subset(draws: Iterator[int], space: int, q: int) -> list[int]:
             x = next(draws)
         t = x % bound
         chosen.add(j if t in chosen else t)
-    return sorted(chosen)
+    return chosen
 
 
 def _coin_walk(draws: Iterator[int], space: int, p: float) -> list[int]:

@@ -142,6 +142,9 @@ def scaling_study(
     return list(zip(n_values, _grid(points, samples, base_seed, node_limit, forced, heuristic)))
 
 
+MIN_COMPARE_SAMPLES = 10  # satisfiable runs each arm of forced_vs_random needs
+
+
 @dataclass(frozen=True)
 class ForcedVsRandom:
     median_forced: float
@@ -162,6 +165,8 @@ def forced_vs_random(
 ) -> ForcedVsRandom:
     """Median cost of forced instances vs random instances filtered to the
     satisfiable ones (rejection).  Censored runs are dropped from both arms."""
+    if samples < MIN_COMPARE_SAMPLES:
+        raise ParameterError(f"samples must be >= {MIN_COMPARE_SAMPLES}, got {samples}")
     cfg = SolveConfig(node_limit=node_limit, heuristic=heuristic)
     forced_seed_base = derive_stream(base_seed, 1)
     random_seed_base = derive_stream(base_seed, 2)
@@ -170,7 +175,7 @@ def forced_vs_random(
     forced_nodes = [
         r.nodes for r in _runs(params, True, forced_seeds, cfg) if r.status is SolveStatus.SAT
     ]
-    if len(forced_nodes) < 10:
+    if len(forced_nodes) < MIN_COMPARE_SAMPLES:
         raise InsufficientSamplesError(
             f"only {len(forced_nodes)} forced runs finished within the node limit"
         )
@@ -186,7 +191,7 @@ def forced_vs_random(
                 break
         elif res.status is SolveStatus.UNSAT:
             discarded += 1
-    if len(random_nodes) < 10:
+    if len(random_nodes) < MIN_COMPARE_SAMPLES:
         raise InsufficientSamplesError(
             f"only {len(random_nodes)} random satisfiable instances in a budget of {budget}"
         )

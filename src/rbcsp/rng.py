@@ -12,9 +12,10 @@ Sebastiano Vigna (http://prng.di.unimi.it/splitmix64.c):
     output <- z XOR (z >> 31)
 
 Raw draw i of the stream seeded with s is ``mix64(s + (i + 1) * GAMMA)``.
-:class:`SplitMix64` computes ``BLOCK`` = 1024 of them at a time in plain
-Python ints: the states are 64-bit lanes spaced 128 bits apart in one int,
-so each step of ``mix64`` is one bigint op over the block, and a 64x64-bit
+:class:`SplitMix64` computes them in blocks, first ``FIRST_BLOCK`` = 16
+(all that a small instance needs), then ``BLOCK`` = 1024 at a time, in plain
+Python ints: the states are 64-bit lanes spaced 128 bits apart in one int, so
+each step of ``mix64`` is one bigint op over the block, and a 64x64-bit
 product fits its lane without carrying into the next.  The lanes' low 64
 bits are read back as little-endian words, whatever the host's byte order.
 
@@ -38,13 +39,14 @@ from __future__ import annotations
 
 import struct
 from functools import cache
-from itertools import chain, count
+from itertools import chain, count, repeat
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
-BLOCK = 1024  # raw draws computed per block
+FIRST_BLOCK = 16  # raw draws in a stream's first block
+BLOCK = 1024  # raw draws in every later block
 
 _INV_2_53 = 1.0 / (1 << 53)
 
@@ -65,24 +67,24 @@ def derive_stream(base_seed: int, index: int) -> int:
 
 
 @cache
-def _lanes():
-    """Block constants, built once: a 1 in every lane, (i + 1) * GAMMA in
-    lane i, the low-64-bit mask of every lane, and the lane reader."""
-    ones = int.from_bytes(b"\1".ljust(16, b"\0") * BLOCK, "little")
-    gamma_lanes = b"".join(((i + 1) * GAMMA).to_bytes(16, "little") for i in range(BLOCK))
+def _lanes(size: int):
+    """Constants of a `size`-draw block, built once per size: a 1 in every
+    lane, (i + 1) * GAMMA in lane i, the lanes' low-64-bit mask, the reader."""
+    ones = int.from_bytes(b"\1".ljust(16, b"\0") * size, "little")
+    gamma_lanes = b"".join(((i + 1) * GAMMA).to_bytes(16, "little") for i in range(size))
     gammas = int.from_bytes(gamma_lanes, "little")
-    return ones, gammas, MASK64 * ones, struct.Struct("<" + "Q8x" * BLOCK).unpack
+    return ones, gammas, MASK64 * ones, struct.Struct("<" + "Q8x" * size).unpack
 
 
-def _block(state: int) -> tuple[int, ...]:
-    """The BLOCK raw draws that follow `state`: mix64(state + (i + 1) * GAMMA)."""
-    ones, gammas, low, unpack = _lanes()
+def _block(state: int, size: int) -> tuple[int, ...]:
+    """The `size` raw draws that follow `state`: mix64(state + (i + 1) * GAMMA)."""
+    ones, gammas, low, unpack = _lanes(size)
     z = ((state & MASK64) * ones + gammas) & low
     z = (z ^ (z >> 30)) & low
     z = z * MIX1 & low
     z = (z ^ (z >> 27)) & low
     z = z * MIX2 & low
-    return unpack((z ^ (z >> 31)).to_bytes(16 * BLOCK, "little"))
+    return unpack((z ^ (z >> 31)).to_bytes(16 * size, "little"))
 
 
 class SplitMix64:
@@ -91,7 +93,8 @@ class SplitMix64:
     __slots__ = ("draws",)
 
     def __init__(self, seed: int):
-        self.draws = chain.from_iterable(map(_block, count(seed & MASK64, BLOCK * GAMMA)))
+        states = chain((seed,), count(seed + FIRST_BLOCK * GAMMA, BLOCK * GAMMA))
+        self.draws = chain.from_iterable(map(_block, states, chain((FIRST_BLOCK,), repeat(BLOCK))))
 
     def next_u64(self) -> int:
         return next(self.draws)

@@ -13,10 +13,10 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from itertools import product
 
 from . import _search
+from ._search import SolveStatus
 from .core import (
     Assignment,
     CspInstance,
@@ -33,12 +33,6 @@ __all__ = ["SolveConfig", "SolveResult", "SolveStatus", "solve_csp", "enumerate_
 MAX_TUPLE_SPACE = 1 << 20
 MAX_DPLL_VARS = 1 << 16  # dpll recurses per split and copies the assignment per node
 ENUM_ADVISORY = 10 ** 7
-
-
-class SolveStatus(Enum):
-    SAT = "SAT"
-    UNSAT = "UNSAT"
-    LIMIT = "LIMIT"
 
 
 @dataclass(frozen=True)
@@ -68,11 +62,10 @@ def solve_csp(instance: CspInstance, cfg: SolveConfig = SolveConfig()) -> SolveR
     space = instance.sizes.tuple_space
     if space > MAX_TUPLE_SPACE:
         raise SizeError(f"tuple space d^k = {space} exceeds the solver bound {MAX_TUPLE_SPACE}")
-    status_code, nodes, backtracks, solutions, witness = _search.fc_search(
+    status, nodes, backtracks, solutions, witness = _search.fc_search(
         instance.params.n, instance.sizes.d, instance.constraints,
         cfg.heuristic == "mrv", cfg.node_limit, cfg.count_all,
     )
-    status = (SolveStatus.SAT, SolveStatus.UNSAT, SolveStatus.LIMIT)[status_code]
     result_witness = None
     if status is SolveStatus.SAT:
         result_witness = Assignment(witness)

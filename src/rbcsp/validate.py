@@ -14,6 +14,7 @@ from .generator import GenRequest, generate
 from .rng import derive_stream
 from .solver import SolveConfig, SolveStatus, dpll, enumerate_solutions, solve_csp
 
+MOMENT_SIGMAS = 4.0  # standard errors a Monte-Carlo mean may stray from its closed form
 SMALL_FAMILIES = [
     # (model, k, n, d, m, p) with d^n small enough to enumerate instantly
     (ModelKind.RB, 2, 4, 2, 5, 0.3),
@@ -64,7 +65,7 @@ def oracle_equivalence_suite(seed: int, instances: int) -> tuple[int, list[str]]
     return instances, failures
 
 
-def moment_suite(seed: int, instances: int, sigmas: float = 4.0) -> list[str]:
+def moment_suite(seed: int, instances: int) -> list[str]:
     """Mean enumerated solution count vs exp(ln E[N]) and, for forced
     instances, exp(ln E_f[N])."""
     params = CspParams.from_sizes(ModelKind.RD, 2, 4, 3, 6, 0.3)
@@ -81,7 +82,7 @@ def moment_suite(seed: int, instances: int, sigmas: float = 4.0) -> list[str]:
         ]
         mean = statistics.fmean(counts)
         se = statistics.stdev(counts) / math.sqrt(len(counts))
-        if abs(mean - closed_form) > sigmas * se:
+        if abs(mean - closed_form) > MOMENT_SIGMAS * se:
             failures.append(
                 f"{'forced' if forced else 'random'} mean {mean:.4f} vs {closed_form:.4f} "
                 f"(off by {abs(mean - closed_form) / se:.2f} SE)"
@@ -89,19 +90,16 @@ def moment_suite(seed: int, instances: int, sigmas: float = 4.0) -> list[str]:
     return failures
 
 
-def run_validation(seed: int, instances: int = 200, verbose: bool = False) -> bool:
+def run_validation(seed: int, instances: int = 200) -> bool:
+    """Run both suites, printing a [PASS]/[FAIL] line for each."""
     if instances < 1:
         raise ParameterError(f"instances must be >= 1, got {instances}")
     total, failures = oracle_equivalence_suite(seed, instances)
-    if verbose:
-        tag = "PASS" if not failures else "FAIL"
-        print(f"[{tag}] oracle equivalence on {total} instances")
-        for msg in failures:
-            print(f"       {msg}")
+    print(f"[{'FAIL' if failures else 'PASS'}] oracle equivalence on {total} instances")
+    for msg in failures:
+        print(f"       {msg}")
     moment_failures = moment_suite(seed, max(instances, 500))
-    if verbose:
-        tag = "PASS" if not moment_failures else "FAIL"
-        print(f"[{tag}] moment Monte-Carlo vs closed forms")
-        for msg in moment_failures:
-            print(f"       {msg}")
+    print(f"[{'FAIL' if moment_failures else 'PASS'}] moment Monte-Carlo vs closed forms")
+    for msg in moment_failures:
+        print(f"       {msg}")
     return not failures and not moment_failures

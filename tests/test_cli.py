@@ -352,6 +352,8 @@ class TestRejectedBeforeAnyOutput:
         (["gen", *PARAMS, "--seed", "1", "--count", "-1"], "count must be >= 1"),
         (["gen", *PARAMS, "--seed", "1", "--split-width", "1"], "split_width must be >= 3"),
         (["gen", *PARAMS, "--seed", "1", "--split-width", "2"], "split_width must be >= 3"),
+        *((["compare-forced", *PARAMS, "--seed", "1", "--samples", s], "samples must be >= 10")
+          for s in ("9", "0", "-1")),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_exit_2(self, capsys, tmp_path, argv, message):
         out_dir = tmp_path / "out"

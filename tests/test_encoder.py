@@ -310,6 +310,33 @@ def test_output_bytes_golden(model, k, forced, digest):
     assert h.hexdigest() == digest
 
 
+# sha256 of the DIMACS text of the seed-1 instance of the k = 2 family above
+# (d = 7), random and forced, per split width; width 7 and no split leave
+# every domain clause whole
+SPLIT_GOLDENS = {
+    (False, 3): "6ad32e7ff150860f6d63cd88a060f22167057e5ddf9465fbf938bd27fd1e03bb",
+    (False, 4): "908594f16a9db40ecda40f14982ea8df26e003edff3a44b5e3d1a6c57c49e9eb",
+    (False, 5): "5fbefb877a8e95644640bc0995e845c00c4b54d9fc7a55f66c823f6e5e1e6499",
+    (False, 6): "e7787457b337cdcae1448d555660eb9439db1f3b77d39960ed2e99302602f60e",
+    (False, 7): "d1a92cf714d8ecb2211e25cc29911fd0dd588c992887879d40ce32d98e96ca50",
+    (False, None): "d1a92cf714d8ecb2211e25cc29911fd0dd588c992887879d40ce32d98e96ca50",
+    (True, 3): "1f634f06fd2d3b79cf6d66930ca9c05c7b2cabdc6a244c4752675f9da22760d3",
+    (True, 4): "27f75093272bc5bdc9e50d11caa2d43deac3ba55a472a4563a133cec977c3433",
+    (True, 5): "029b2c3fc45cac2a1aa07ed3da9523035839d14e5aee498e64e431e4bc4317be",
+    (True, 6): "9f3a6a0a140cd4db08300888eb57f2bf73a0d8758089d0ff27d2612b1bd43e5b",
+    (True, 7): "c32f0ad94d92780e6f692bf9d1c9ef2e9fa472f8b3ff41005f7a8caee4b0a3ac",
+    (True, None): "c32f0ad94d92780e6f692bf9d1c9ef2e9fa472f8b3ff41005f7a8caee4b0a3ac",
+}
+
+
+@pytest.mark.parametrize("forced,width", list(SPLIT_GOLDENS))
+def test_split_width_golden(forced, width):
+    params = CspParams(ModelKind.RB, 2, *GOLDEN_FAMILIES[2])
+    inst = generate(GenRequest(params, seed=1, forced=forced))
+    text = write_dimacs(encode_cnf(inst, width))
+    assert hashlib.sha256(text.encode()).hexdigest() == SPLIT_GOLDENS[forced, width]
+
+
 def test_solution_sidecar_format():
     text = write_solution(Assignment((0, 2, 1)))
     assert text == "1 1\n2 3\n3 2\n"

@@ -245,7 +245,9 @@ def reference_generate(params, seed, forced):
 
 
 RB12 = (ModelKind.RB, 2, 12, 0.8, 1.5, 0.3)  # d=7 m=45 q=15
-RB20 = (ModelKind.RB, 2, 20, 0.8, 1.5, 0.4)  # d=11 m=90 q=48: draws 1023/1024 are Floyd draws
+# d=11 m=90 q=48: draws 15/16 (the first block's edge) are hidden-value or
+# scope draws, and draws 1023/1024 and 1039/1040 (later block edges) Floyd draws
+RB20 = (ModelKind.RB, 2, 20, 0.8, 1.5, 0.4)
 RD3 = (ModelKind.RD, 3, 10, 1.0, 1.0, 1 - math.exp(-1.0))  # d=10 m=23: 23k coins, 23 blocks
 
 
@@ -261,6 +263,10 @@ RD3 = (ModelKind.RD, 3, 10, 1.0, 1.0, 1 - math.exp(-1.0))  # d=10 m=23: 23k coin
     (RD3, True, "hidden", 1),
     (RD3, True, "scope", 1),
     (RD3, True, 1024, 0),  # a coin: a zero draw is a head, not a rejection
+    (RB20, True, 15, 1),
+    (RB20, False, 16, 1),
+    (RB20, False, 1039, 1),
+    (RB20, True, 1040, 1),
 ])
 def test_zero_draw_matches_scalar_reference(family, forced, draw, rejections):
     """mix64(0) == 0, so seed -(i+1)*GAMMA makes raw draw i zero, and every

@@ -149,6 +149,13 @@ class TestForcedVsRandom:
         b = forced_vs_random(base_params(p=0.3), samples=10, base_seed=3, node_limit=100_000)
         assert a == b
 
+    @pytest.mark.parametrize("samples", [9, 1, 0, -1])
+    def test_fewer_than_ten_samples_rejected_before_generating(self, monkeypatch, samples):
+        # each arm needs ten satisfiable runs, so no smaller sample can succeed
+        monkeypatch.setattr("rbcsp.harness.generate", None)  # any generation would fail
+        with pytest.raises(ParameterError, match="samples must be >= 10"):
+            forced_vs_random(base_params(), samples=samples, base_seed=3, node_limit=100_000)
+
     def test_insufficient_samples_error(self):
         # p = 1: every random instance is UNSAT, so the random arm starves
         params = CspParams(ModelKind.RD, 2, 6, 0.8, 1.5, 0.99)

@@ -3,7 +3,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbcsp.rng import BLOCK, GAMMA, MASK64, SplitMix64, derive_stream, mix64
+from rbcsp.rng import BLOCK, FIRST_BLOCK, GAMMA, MASK64, SplitMix64, derive_stream, mix64
 
 
 def test_derive_stream_deterministic():
@@ -71,8 +71,11 @@ def test_next_float_in_unit_interval():
     assert abs(sum(xs) / len(xs) - 0.5) < 0.02
 
 
-# start offsets on and next to block edges, plus anywhere in the first three blocks
-_offsets = st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1]) | st.integers(0, 3 * BLOCK)
+# start offsets on and next to block edges (draws 16 and 1040 start the
+# second and third blocks), plus anywhere in the first three blocks
+_EDGES = [FIRST_BLOCK - 1, FIRST_BLOCK, FIRST_BLOCK + BLOCK - 1, FIRST_BLOCK + BLOCK]
+_offsets = (st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, *_EDGES])
+            | st.integers(0, 3 * BLOCK))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -83,7 +86,7 @@ def test_block_stream_is_vigna_sequence(seed, start, length):
     assert got == [mix64(seed + (i + 1) * GAMMA) for i in range(start, start + length)]
 
 
-@pytest.mark.parametrize("i", [0, 5, BLOCK - 1, BLOCK, 2 * BLOCK])
+@pytest.mark.parametrize("i", [0, 5, BLOCK - 1, BLOCK, 2 * BLOCK, *_EDGES])
 def test_rejection_consumes_exactly_one_draw(i):
     # mix64(0) == 0, so this seed makes raw draw i zero, which next_below(3)
     # rejects (2^64 mod 3 = 1); the draws after it move up by exactly one

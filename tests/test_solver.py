@@ -268,7 +268,7 @@ class TestWitnessCheck:
     def test_unsound_witness_raises(self, monkeypatch):
         inst = unsat_instance()
         monkeypatch.setattr(_search, "fc_search",
-                            lambda *args: (_search.STATUS_SAT, 1, 0, 1, (0,) * inst.params.n))
+                            lambda *args: (SolveStatus.SAT, 1, 0, 1, (0,) * inst.params.n))
         with pytest.raises(RbcspError, match="unsound witness, violates constraint 0"):
             solve_csp(inst)
 
