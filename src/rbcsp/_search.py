@@ -5,7 +5,9 @@ Elliott 1980): assigning a variable prunes, for every constraint with
 exactly one other unassigned variable, the forbidden values of that
 variable.  Domains are Python ``int`` bitmasks (bit v set = value v still
 allowed), as in bit-parallel arc consistency (Lecoutre & Vion 2008), so a
-pruning is one ``&= ~mask`` and a wipeout is an empty mask.
+pruning is one ``&= ~mask`` and a wipeout is an empty mask.  Each mask is
+computed from the constraint's forbidden ranks on its first lookup, then
+cached (lazy, as in Minion: Gent et al. 2006), so memory is O(q) per constraint.
 
 Variable order is lex or minimum-remaining-values with lowest-index
 tie-breaking; value order is ascending.  ``nodes`` counts value assignment
@@ -29,24 +31,19 @@ def active_backend() -> str:
 
 
 def _watch_lists(n, d, constraints):
-    """Per variable, one ``(own_mult, others)`` entry per constraint on it,
-    in constraint order.  ``others`` holds ``(var, mult, masks)`` for every
-    other scope position; ``masks`` maps the partial rank of a forbidden
-    tuple (the position's own coordinate zeroed) to the bitmask of that
-    position's forbidden values."""
+    """Per variable, one ``(own_mult, forbidden, others)`` entry per constraint
+    on it, in constraint order; ``forbidden`` is the constraint's frozenset of
+    ranks.  ``others`` holds ``(var, mult, masks)`` for every other scope
+    position; ``masks`` starts empty and caches, per partial rank (the
+    position's coordinate zeroed), the bitmask of that position's forbidden
+    values, which ``fc_search`` computes from ``forbidden`` on first lookup."""
     watch = [[] for _ in range(n)]
     for con in constraints:
-        slots = []
-        for j, u in enumerate(con.scope):
-            mult = d ** (len(con.scope) - 1 - j)
-            masks = {}
-            for rank in con.incompatible:
-                v = rank // mult % d
-                partial = rank - v * mult
-                masks[partial] = masks.get(partial, 0) | 1 << v
-            slots.append((u, mult, masks))
+        k = len(con.scope)
+        slots = [(u, d ** (k - 1 - j), {}) for j, u in enumerate(con.scope)]
+        forbidden = frozenset(con.incompatible)
         for j, (u, mult, _) in enumerate(slots):
-            watch[u].append((mult, tuple(slots[:j] + slots[j + 1:])))
+            watch[u].append((mult, forbidden, tuple(slots[:j] + slots[j + 1:])))
     return watch
 
 
@@ -116,7 +113,7 @@ def fc_search(n, d, constraints, mrv, node_limit, count_all):
         # forward check: prune the single unassigned variable of each
         # constraint that is now fully instantiated but for one slot
         ok = True
-        for own_mult, others in watch[var]:
+        for own_mult, forbidden, others in watch[var]:
             partial = val * own_mult
             free = -1
             for u, mult, masks in others:
@@ -127,9 +124,15 @@ def fc_search(n, d, constraints, mrv, node_limit, count_all):
                     free = -1  # a second unassigned variable: nothing to prune
                     break
                 else:
-                    free, free_masks = u, masks
+                    free, free_mult, free_masks = u, mult, masks
             if free >= 0:
-                mask = free_masks.get(partial, 0)
+                mask = free_masks.get(partial)
+                if mask is None:  # first lookup: test the d ranks on this line
+                    mask = 0
+                    for rank in range(partial, partial + d * free_mult, free_mult):
+                        if rank in forbidden:
+                            mask |= 1 << (rank - partial) // free_mult
+                    free_masks[partial] = mask
                 if dom[free] & mask:
                     dom[free] &= ~mask
                     if not dom[free]:

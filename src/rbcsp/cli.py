@@ -70,7 +70,7 @@ def _list_of(kind):
 
 def _params_from(args) -> CspParams:
     return CspParams(
-        model=ModelKind(args.model), k=args.k, n=args.n,
+        model=args.model, k=args.k, n=args.n,
         alpha=args.alpha, r=args.r, p=args.p,
     )
 

@@ -80,6 +80,10 @@ class CspParams:
     p: float
 
     def __post_init__(self):
+        try:  # a model given as its name ("rb") becomes the enum member
+            object.__setattr__(self, "model", ModelKind(self.model))
+        except ValueError:
+            raise ParameterError(f"model must be 'rb' or 'rd', got {self.model!r}") from None
         if self.k < 2:
             raise ParameterError(f"arity k must be >= 2, got {self.k}")
         if self.n < 2:

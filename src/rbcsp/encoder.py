@@ -239,9 +239,8 @@ def read_csp_native(text: str) -> CspInstance:
     if len(parts) != 8 or parts[0] != "params":
         fail(1, "expected 'params <model> <k> <n> <alpha> <r> <p> <seed>'")
     try:
-        model = ModelKind(parts[1])
         params = CspParams(
-            model=model, k=int(parts[2]), n=int(parts[3]),
+            model=parts[1], k=int(parts[2]), n=int(parts[3]),
             alpha=float(parts[4]), r=float(parts[5]), p=float(parts[6]),
         )
         seed = int(parts[7])
@@ -270,26 +269,30 @@ def read_csp_native(text: str) -> CspInstance:
             fail(no, f"RB constraint has {len(ranks)} tuples, expected q = {sizes.q}")
         constraints.append(Constraint(scope=scope, incompatible=tuple(ranks)))
 
+    seen: dict[str, int] = {}  # rank of each distinct valid 't' line text
     for no, line in enumerate(lines[3:], start=3):
         stripped = line.strip()
-        if not stripped:
-            continue
-        fields = stripped.split()
-        if fields[0] == "c":
-            flush(no)
-            scope = tuple(indices(no, fields, "variables", params.n))
-            if len(set(scope)) != len(scope):
-                fail(no, f"repeated variable in {stripped!r}")
-            ranks = []
-        elif fields[0] == "t":
-            if scope is None:
-                fail(no, "tuple line before any constraint line")
-            rank = tuple_rank(indices(no, fields, "values", sizes.d), sizes.d)
-            if ranks and rank <= ranks[-1]:
-                fail(no, "tuples out of ascending rank order")
-            ranks.append(rank)
-        else:
-            fail(no, f"unrecognized line {stripped!r}")
+        rank = seen.get(stripped)
+        if rank is None:
+            if not stripped:
+                continue
+            fields = stripped.split()
+            if fields[0] == "c":
+                flush(no)
+                scope = tuple(indices(no, fields, "variables", params.n))
+                if len(set(scope)) != len(scope):
+                    fail(no, f"repeated variable in {stripped!r}")
+                ranks = []
+                continue
+            if fields[0] != "t":
+                fail(no, f"unrecognized line {stripped!r}")
+        if scope is None:
+            fail(no, "tuple line before any constraint line")
+        if rank is None:
+            rank = seen[stripped] = tuple_rank(indices(no, fields, "values", sizes.d), sizes.d)
+        if ranks and rank <= ranks[-1]:
+            fail(no, "tuples out of ascending rank order")
+        ranks.append(rank)
     flush(len(lines))
 
     if len(constraints) != sizes.m:

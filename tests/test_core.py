@@ -20,6 +20,8 @@ from rbcsp.core import (
     similarity,
     tuple_rank,
 )
+from rbcsp.encoder import write_csp_native
+from rbcsp.generator import GenRequest, generate
 
 
 def params(model=ModelKind.RB, k=2, n=4, alpha=0.5, r=1.0, p=0.0):
@@ -97,6 +99,21 @@ class TestParamsValidation:
     def test_rejects_nonfinite(self, field, value):
         with pytest.raises(ParameterError, match="finite"):
             params(**{field: value})
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_model_name_is_the_enum_member(self, kind):
+        by_name = CspParams(kind.value, 2, 10, 0.8, 1.0, 0.3)
+        assert by_name == CspParams(kind, 2, 10, 0.8, 1.0, 0.3)
+        assert by_name.model is kind
+        for forced in (False, True):
+            texts = {write_csp_native(generate(GenRequest(p, seed=7, forced=forced)))
+                     for p in (by_name, CspParams(kind, 2, 10, 0.8, 1.0, 0.3))}
+            assert len(texts) == 1
+
+    @pytest.mark.parametrize("model", ["xx", "RB", "", None, 1])
+    def test_rejects_unknown_model(self, model):
+        with pytest.raises(ParameterError, match="model must be 'rb' or 'rd'"):
+            params(model=model)
 
     def test_from_sizes_reproduces(self):
         p = CspParams.from_sizes(ModelKind.RD, 2, 4, 3, 6, 0.3)

@@ -1,8 +1,13 @@
 import itertools
 import math
+import os
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbcsp import _search
 from rbcsp.analysis import p_threshold
@@ -16,6 +21,7 @@ from rbcsp.core import (
     SizeError,
     check_assignment,
     derive_sizes,
+    tuple_rank,
 )
 from rbcsp.encoder import CnfFormula, encode_cnf
 from rbcsp.generator import GenRequest, generate
@@ -277,3 +283,103 @@ class TestWitnessCheck:
         inst = CspInstance(params, derive_sizes(params), (Constraint((0, 1, 2), ()),) * 6, seed=0)
         with pytest.raises(SizeError, match="exceeds the solver bound"):
             solve_csp(inst)
+
+
+@st.composite
+def constraint_sets(draw):
+    """(n, d, constraints): random scopes and random forbidden-rank sets."""
+    k = draw(st.sampled_from([2, 3]))
+    n, d = draw(st.integers(k, 6)), draw(st.integers(2, 4))
+    scopes = st.permutations(range(n)).map(lambda order: tuple(order[:k]))
+    ranks = st.sets(st.integers(0, d ** k - 1), max_size=d ** k)
+    cons = draw(st.lists(st.builds(Constraint, scopes, ranks.map(tuple)), min_size=1, max_size=6))
+    return n, d, tuple(cons)
+
+
+def _search_recording_watch(n, d, constraints, mrv):
+    """Run a count-all search and return the watch lists it built."""
+    built = []
+    watch_lists = _search._watch_lists
+
+    def recording(*args):
+        built.append(watch_lists(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_search, "_watch_lists", recording)
+        _search.fc_search(n, d, constraints, mrv, None, True)
+    (watch,) = built
+    return watch
+
+
+def _check_cached_masks(watch, d, constraints):
+    """Assert that every cached mask is the set of values its free position
+    may not take, given the other coordinates of its key; return how many
+    masks were cached."""
+    checked = 0
+    for u, entries in enumerate(watch):
+        cons_on_u = [con for con in constraints if u in con.scope]
+        assert len(entries) == len(cons_on_u)
+        for con, (own_mult, forbidden, others) in zip(cons_on_u, entries):
+            k = len(con.scope)
+            assert forbidden == frozenset(con.incompatible)
+            assert own_mult == d ** (k - 1 - con.scope.index(u))
+            for var, mult, masks in others:
+                j = con.scope.index(var)
+                assert mult == d ** (k - 1 - j)
+                for partial, mask in masks.items():
+                    coords = [partial // d ** (k - 1 - i) % d for i in range(k)]
+                    assert coords[j] == 0 and 0 <= partial < d ** k
+                    want = 0
+                    for v in range(d):
+                        coords[j] = v
+                        if tuple_rank(coords, d) in con.incompatible:
+                            want |= 1 << v
+                    assert mask == want
+                    checked += 1
+    return checked
+
+
+class TestLazyMasks:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(problem=constraint_sets(), mrv=st.booleans())
+    def test_cached_masks_match_brute_force(self, problem, mrv):
+        n, d, constraints = problem
+        _check_cached_masks(_search_recording_watch(n, d, constraints, mrv), d, constraints)
+
+    def test_masks_are_built_on_lookup(self):
+        """Masks start empty; a search fills only the ones it looks up."""
+        params = CspParams(ModelKind.RB, 2, 20, 0.8, 1.5, p_threshold(0.8, 1.5))
+        inst = generate(GenRequest(params, seed=5, forced=True))
+        n, d, constraints = params.n, inst.sizes.d, inst.constraints
+        watch = _search._watch_lists(n, d, constraints)
+        assert not any(masks for entries in watch for *_, others in entries for *_, masks in others)
+        watch = _search_recording_watch(n, d, constraints, True)
+        cached = _check_cached_masks(watch, d, constraints)
+        assert 0 < cached < len(constraints) * 2 * d
+
+
+SPARSE_SOLVE = """
+from rbcsp.core import CspParams, ModelKind
+from rbcsp.generator import GenRequest, generate
+from rbcsp.solver import solve_csp
+res = solve_csp(generate(GenRequest(CspParams(ModelKind.RB, 2, 1000, 1.0, 0.5, 1e-6), seed=1)))
+print(res.status.value, res.nodes, res.backtracks)
+"""
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_sparse_large_domain_solves_in_capped_memory():
+    """RB k=2 n=1000: d = 1000, d^k = 10^6 ranks per constraint, m = 3454 and
+    q = 1.  The kernel holds O(q) per constraint, so the solve fits in 1 GB of
+    address space; a structure sized d^k per constraint would need gigabytes."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", SPARSE_SOLVE], preexec_fn=_cap_address_space,
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["SAT", "1000", "0"]
