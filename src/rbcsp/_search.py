@@ -127,10 +127,12 @@ def fc_search(n, d, constraints, mrv, node_limit, count_all):
                     free, free_mult, free_masks = u, mult, masks
             if free >= 0:
                 mask = free_masks.get(partial)
-                if mask is None:  # first lookup: test the d ranks on this line
+                if mask is None:  # first lookup: walk the smaller of this line and forbidden
+                    line = range(partial, partial + d * free_mult, free_mult)
+                    ranks, members = (forbidden, line) if len(forbidden) < d else (line, forbidden)
                     mask = 0
-                    for rank in range(partial, partial + d * free_mult, free_mult):
-                        if rank in forbidden:
+                    for rank in ranks:
+                        if rank in members:
                             mask |= 1 << (rank - partial) // free_mult
                     free_masks[partial] = mask
                 if dom[free] & mask:

@@ -219,6 +219,8 @@ def _cmd_compare_forced(args) -> int:
     print(f"samples_forced={summary.samples_forced}")
     print(f"samples_random_sat={summary.samples_random_sat}")
     print(f"discarded_unsat={summary.discarded_unsat}")
+    print(f"censored_forced={summary.censored_forced}")
+    print(f"censored_random={summary.censored_random}")
     return 0
 
 

@@ -32,8 +32,9 @@ format; on request it goes to a sidecar ``.solution`` file of 1-indexed
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from .core import (
     Assignment,
@@ -66,10 +67,12 @@ class CnfFormula:
     metadata: tuple[tuple[str, str], ...] = field(default=())
 
     def __post_init__(self):
-        for clause in self.clauses:
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ParameterError(f"literal {lit} out of range in clause {clause}")
+        lits = set(chain.from_iterable(self.clauses))
+        if lits and (0 in lits or max(lits) > self.num_vars or -min(lits) > self.num_vars):
+            for clause in self.clauses:
+                for lit in clause:
+                    if lit == 0 or abs(lit) > self.num_vars:
+                        raise ParameterError(f"literal {lit} out of range in clause {clause}")
 
 
 def _fmt_real(x: float) -> str:
@@ -120,8 +123,7 @@ def encode_cnf(instance: CspInstance, split_width: int | None = None) -> CnfForm
     values_of = _value_tuples(instance)
     for con in instance.constraints:
         bases = [-var(u, 0) for u in con.scope]  # -x(u, v) = -x(u, 0) - v
-        for rank in con.incompatible:
-            clauses.append(tuple(b - v for b, v in zip(bases, values_of[rank])))
+        clauses.extend(tuple(map(operator.sub, bases, values_of[rank])) for rank in con.incompatible)
 
     p = instance.params
     meta = (
@@ -143,8 +145,12 @@ def encode_cnf(instance: CspInstance, split_width: int | None = None) -> CnfForm
 def write_dimacs(cnf: CnfFormula) -> str:
     lines = [f"c {key}={value}" for key, value in cnf.metadata]
     lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
+    formats: dict[int, str] = {}  # clause width -> "%d %d ... 0"
     for clause in cnf.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+        fmt = formats.get(len(clause))
+        if fmt is None:
+            fmt = formats[len(clause)] = "%d " * len(clause) + "0"
+        lines.append(fmt % clause)
     return "\n".join(lines) + "\n"
 
 

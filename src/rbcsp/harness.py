@@ -153,6 +153,8 @@ class ForcedVsRandom:
     samples_forced: int
     samples_random_sat: int
     discarded_unsat: int
+    censored_forced: int
+    censored_random: int
 
 
 def forced_vs_random(
@@ -164,7 +166,8 @@ def forced_vs_random(
     budget_factor: int = 20,
 ) -> ForcedVsRandom:
     """Median cost of forced instances vs random instances filtered to the
-    satisfiable ones (rejection).  Censored runs are dropped from both arms."""
+    satisfiable ones (rejection).  Censored runs are left out of both medians
+    and counted per arm."""
     if samples < MIN_COMPARE_SAMPLES:
         raise ParameterError(f"samples must be >= {MIN_COMPARE_SAMPLES}, got {samples}")
     cfg = SolveConfig(node_limit=node_limit, heuristic=heuristic)
@@ -181,7 +184,7 @@ def forced_vs_random(
         )
 
     random_nodes = []
-    discarded = 0
+    discarded = censored_random = 0
     budget = budget_factor * samples
     random_seeds = (derive_stream(random_seed_base, i) for i in range(budget))
     for res in _runs(params, False, random_seeds, cfg):
@@ -191,6 +194,8 @@ def forced_vs_random(
                 break
         elif res.status is SolveStatus.UNSAT:
             discarded += 1
+        else:
+            censored_random += 1
     if len(random_nodes) < MIN_COMPARE_SAMPLES:
         raise InsufficientSamplesError(
             f"only {len(random_nodes)} random satisfiable instances in a budget of {budget}"
@@ -205,6 +210,8 @@ def forced_vs_random(
         samples_forced=len(forced_nodes),
         samples_random_sat=len(random_nodes),
         discarded_unsat=discarded,
+        censored_forced=samples - len(forced_nodes),  # a forced instance is never UNSAT
+        censored_random=censored_random,
     )
 
 

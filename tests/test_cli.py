@@ -241,8 +241,9 @@ class TestSweepScaleCmd:
                            "--n", "8", "--alpha", "0.8", "--r", "1.5", "--p", "0.25",
                            "--seed", "8", "--samples", "10")
         assert code == 0
-        assert "ratio=" in out
-        assert "discarded_unsat=" in out
+        keys = [line.split("=")[0] for line in out.splitlines()]
+        assert keys == ["median_nodes_forced", "median_nodes_random_sat", "ratio", "samples_forced",
+                        "samples_random_sat", "discarded_unsat", "censored_forced", "censored_random"]
 
 
 class TestValidateCmd:

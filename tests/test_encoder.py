@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+from rbcsp.analysis import p_threshold
 from rbcsp.core import (
     Assignment,
     Constraint,
@@ -19,6 +20,7 @@ from rbcsp.core import (
     derive_sizes,
 )
 from rbcsp.encoder import (
+    CnfFormula,
     encode_cnf,
     read_csp_native,
     read_dimacs,
@@ -77,6 +79,17 @@ class TestEncodeCnf:
 
         with pytest.raises(ParameterError):
             encode_cnf(two_var_instance(), split_width=2)
+
+
+class TestLiteralRange:
+    @pytest.mark.parametrize("lit", [0, 4, -4])
+    def test_out_of_range_literal_rejected(self, lit):
+        with pytest.raises(ParameterError, match=f"literal {lit} out of range"):
+            CnfFormula(num_vars=3, clauses=((1, -2, 3), (-1, 2), (2, lit, 3)))
+
+    @pytest.mark.parametrize("clauses", [(), ((),), ((1, -1), (), (3, -3, 2))])
+    def test_in_range_clauses_accepted(self, clauses):
+        assert CnfFormula(num_vars=3, clauses=clauses).clauses == clauses
 
 
 class TestSplitting:
@@ -335,6 +348,29 @@ def test_split_width_golden(forced, width):
     inst = generate(GenRequest(params, seed=1, forced=forced))
     text = write_dimacs(encode_cnf(inst, width))
     assert hashlib.sha256(text.encode()).hexdigest() == SPLIT_GOLDENS[forced, width]
+
+
+# sha256 of the DIMACS text of the seed-1 RB and RD k = 3, n = 10, alpha = 0.8,
+# r = 1 instance at p_cr (d = 6, m = 23), random and forced; its clauses are
+# 2, 3 and 6 literals wide unsplit and 2, 3 and 4 wide at split width 4
+K3_DIMACS_GOLDENS = {
+    ("rb", False, None): "055beda350c20e61d83b7085367fb078d139a46b07fae715ce8b4aaf9951a96f",
+    ("rb", False, 4): "a6cedcdb75254512d9ffb92b7a417d3a67a3bf0ee1760e66068e6f0b0a59094d",
+    ("rb", True, None): "166e2cc2ba8233aeb14202b81f52819a5f3b04ab2cd392c40ff52c43255eb609",
+    ("rb", True, 4): "661969df5a41b4f44cfa559fbb9b7cfbb982cc997baa9c277477823d708ea806",
+    ("rd", False, None): "a2ab83f64139f883b425c739472b94a5dfb5abd71045eb404aba81f9d399d9dc",
+    ("rd", False, 4): "53625f05d361df0038c23dd4285bac3002f6d4201fb3858c53b86bf7ef8ecc18",
+    ("rd", True, None): "a5cf8f622d58affb283757e7be95cd6d898bb0977164523823309276098e9474",
+    ("rd", True, 4): "1e7a74f5f9d8c97043b27c892808bcaed23d5fa96778033fd1dddbbaeb7f6137",
+}
+
+
+@pytest.mark.parametrize("model,forced,width", list(K3_DIMACS_GOLDENS))
+def test_k3_dimacs_golden(model, forced, width):
+    params = CspParams(ModelKind(model), 3, 10, 0.8, 1.0, p_threshold(0.8, 1.0))
+    inst = generate(GenRequest(params, seed=1, forced=forced))
+    text = write_dimacs(encode_cnf(inst, width))
+    assert hashlib.sha256(text.encode()).hexdigest() == K3_DIMACS_GOLDENS[model, forced, width]
 
 
 def test_solution_sidecar_format():

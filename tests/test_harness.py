@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from rbcsp.analysis import p_threshold
 from rbcsp.core import CspParams, InsufficientSamplesError, ModelKind, ParameterError
 from rbcsp.harness import (
     ExperimentRecord,
@@ -148,6 +149,12 @@ class TestForcedVsRandom:
         a = forced_vs_random(base_params(p=0.3), samples=10, base_seed=3, node_limit=100_000)
         b = forced_vs_random(base_params(p=0.3), samples=10, base_seed=3, node_limit=100_000)
         assert a == b
+
+    def test_censored_runs_counted_per_arm(self):
+        params = base_params(p=p_threshold(0.8, 1.5))
+        summary = forced_vs_random(params, samples=12, base_seed=1, node_limit=20)
+        assert (summary.censored_forced, summary.censored_random) == (1, 15)
+        assert summary.samples_forced + summary.censored_forced == 12
 
     @pytest.mark.parametrize("samples", [9, 1, 0, -1])
     def test_fewer_than_ten_samples_rejected_before_generating(self, monkeypatch, samples):
