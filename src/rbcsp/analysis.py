@@ -19,12 +19,10 @@ from decimal import Context, Decimal, localcontext
 from .core import CspParams, ModelKind, ParameterError, SizeError, derive_sizes
 
 __all__ = [
-    "ThresholdReport",
     "ProfilePoint",
     "r_threshold",
     "p_threshold",
     "check_conditions",
-    "threshold_report",
     "effective_tightness",
     "first_moment_log",
     "pair_sat_prob_log",
@@ -42,13 +40,6 @@ class Condition:
     name: str
     satisfied: bool
     margin: float
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    r_cr: float
-    p_cr: float
-    conditions: tuple[Condition, ...]
 
 
 @dataclass(frozen=True)
@@ -92,14 +83,6 @@ def check_conditions(params: CspParams) -> tuple[Condition, ...]:
         Condition("alpha_gt_1_over_k", margin_a > 0, margin_a),
         Condition("k_ge_1_over_1mp", margin_k >= 0, margin_k),
         Condition("k_exp_ge_1", margin_e >= 0, margin_e),
-    )
-
-
-def threshold_report(params: CspParams) -> ThresholdReport:
-    return ThresholdReport(
-        r_cr=r_threshold(params.alpha, params.p),
-        p_cr=p_threshold(params.alpha, params.r),
-        conditions=check_conditions(params),
     )
 
 

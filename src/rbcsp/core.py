@@ -187,13 +187,16 @@ class Assignment:
 
 @dataclass(frozen=True)
 class CspInstance:
+    """Constraints over the family `params`; `sizes` is derived from `params`, never passed."""
+
     params: CspParams
-    sizes: DerivedSizes
+    sizes: DerivedSizes = field(init=False)
     constraints: tuple[Constraint, ...]
     seed: int
     forced: Assignment | None = field(default=None)
 
     def __post_init__(self):
+        object.__setattr__(self, "sizes", derive_sizes(self.params))
         if len(self.constraints) != self.sizes.m:
             raise ParameterError(
                 f"expected {self.sizes.m} constraints, got {len(self.constraints)}"

@@ -303,7 +303,7 @@ def read_csp_native(text: str) -> CspInstance:
 
     if len(constraints) != sizes.m:
         raise ParseError(len(lines), f"found {len(constraints)} constraints, expected m = {sizes.m}")
-    return CspInstance(params=params, sizes=sizes, constraints=tuple(constraints), seed=seed)
+    return CspInstance(params=params, constraints=tuple(constraints), seed=seed)
 
 
 def write_solution(assignment: Assignment) -> str:

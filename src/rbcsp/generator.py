@@ -133,7 +133,6 @@ def generate(request: GenRequest) -> CspInstance:
 
     return CspInstance(
         params=params,
-        sizes=sizes,
         constraints=tuple(constraints),
         seed=request.seed,
         forced=hidden_t,

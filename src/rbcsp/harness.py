@@ -143,6 +143,7 @@ def scaling_study(
 
 
 MIN_COMPARE_SAMPLES = 10  # satisfiable runs each arm of forced_vs_random needs
+RANDOM_BUDGET_FACTOR = 20  # random instances drawn per requested sample, at most
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,6 @@ def forced_vs_random(
     base_seed: int,
     node_limit: int,
     heuristic: str = "mrv",
-    budget_factor: int = 20,
 ) -> ForcedVsRandom:
     """Median cost of forced instances vs random instances filtered to the
     satisfiable ones (rejection).  Censored runs are left out of both medians
@@ -185,7 +185,7 @@ def forced_vs_random(
 
     random_nodes = []
     discarded = censored_random = 0
-    budget = budget_factor * samples
+    budget = RANDOM_BUDGET_FACTOR * samples
     random_seeds = (derive_stream(random_seed_base, i) for i in range(budget))
     for res in _runs(params, False, random_seeds, cfg):
         if res.status is SolveStatus.SAT:

@@ -111,13 +111,17 @@ def dpll(cnf: CnfFormula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         raise SizeError(f"{num_vars} CNF variables exceed the DPLL bound {MAX_DPLL_VARS}")
     clauses = cnf.clauses
     limit = cfg.node_limit
-    state = {"nodes": 0, "backtracks": 0, "solutions": 0, "witness": None, "limit": False}
+    nodes = backtracks = solutions = 0
+    witness = None
+    limited = False
 
-    def propagate(assign: list[int]) -> bool:
-        """Assign forced literals until fixpoint; False on conflict."""
+    def propagate(assign: list[int]) -> bool | None:
+        """Assign forced literals until fixpoint; None on conflict, else
+        whether the last pass found every clause satisfied."""
         changed = True
         while changed:
             changed = False
+            all_satisfied = True
             for clause in clauses:
                 unassigned_lit = 0
                 n_unassigned = 0
@@ -133,44 +137,36 @@ def dpll(cnf: CnfFormula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
                 if satisfied:
                     continue
                 if n_unassigned == 0:
-                    return False
+                    return None
+                all_satisfied = False
                 if n_unassigned == 1:
                     assign[abs(unassigned_lit)] = 1 if unassigned_lit > 0 else -1
                     changed = True
-        return True
-
-    def all_satisfied(assign: list[int]) -> bool:
-        for clause in clauses:
-            if not any((assign[abs(lit)] > 0) == (lit > 0) and assign[abs(lit)] != 0
-                       for lit in clause):
-                return False
-        return True
-
-    def record_model(assign: list[int]):
-        free = sum(1 for v in range(1, num_vars + 1) if assign[v] == 0)
-        state["solutions"] += 1 << free
-        if state["witness"] is None:
-            state["witness"] = tuple(assign[v] > 0 for v in range(1, num_vars + 1))
+        return all_satisfied
 
     def search(assign: list[int]) -> bool:
         """True once a model is found and counting is off."""
-        if not propagate(assign):
+        nonlocal nodes, backtracks, solutions, witness, limited
+        satisfied = propagate(assign)
+        if satisfied is None:
             return False
-        if all_satisfied(assign):
-            record_model(assign)
+        if satisfied:
+            solutions += 1 << assign[1:].count(0)  # each free variable takes either value
+            if witness is None:
+                witness = tuple(v > 0 for v in assign[1:])
             return not cfg.count_all
-        var = next(v for v in range(1, num_vars + 1) if assign[v] == 0)
+        var = assign.index(0, 1)
         for sign in (1, -1):
-            if limit is not None and state["nodes"] >= limit:
-                state["limit"] = True
+            if limit is not None and nodes >= limit:
+                limited = True
                 return False
-            state["nodes"] += 1
+            nodes += 1
             branch = list(assign)
             branch[var] = sign
             if search(branch):
                 return True
-            state["backtracks"] += 1
-            if state["limit"]:
+            backtracks += 1
+            if limited:
                 return False
         return False
 
@@ -182,16 +178,16 @@ def dpll(cnf: CnfFormula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         search([0] * (num_vars + 1))
     finally:
         sys.setrecursionlimit(saved_limit)
-    if state["limit"]:
+    if limited:
         status = SolveStatus.LIMIT
-    elif state["solutions"] > 0:
+    elif solutions > 0:
         status = SolveStatus.SAT
     else:
         status = SolveStatus.UNSAT
     return SolveResult(
         status=status,
-        witness=state["witness"] if status is SolveStatus.SAT else None,
-        nodes=state["nodes"],
-        backtracks=state["backtracks"],
-        solutions=state["solutions"] if cfg.count_all and status is not SolveStatus.LIMIT else None,
+        witness=witness if status is SolveStatus.SAT else None,
+        nodes=nodes,
+        backtracks=backtracks,
+        solutions=solutions if cfg.count_all and status is not SolveStatus.LIMIT else None,
     )

@@ -19,7 +19,6 @@ from rbcsp.analysis import (
     pair_sat_prob_log,
     r_threshold,
     threesat_profile_exponent,
-    threshold_report,
 )
 from rbcsp.core import CspParams, ModelKind, ParameterError, SizeError
 
@@ -74,12 +73,6 @@ class TestConditions:
         conds = {c.name: c for c in check_conditions(params)}
         assert not conds["alpha_gt_1_over_k"].satisfied
         assert conds["alpha_gt_1_over_k"].margin == pytest.approx(-0.1)
-
-    def test_report_shape(self):
-        report = threshold_report(CspParams(ModelKind.RB, 2, 20, 0.8, 1.5, 0.3))
-        assert report.r_cr > 0
-        assert 0 < report.p_cr < 1
-        assert len(report.conditions) == 3
 
 
 class TestFirstMoment:

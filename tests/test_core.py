@@ -9,6 +9,7 @@ from rbcsp.core import (
     Constraint,
     CspInstance,
     CspParams,
+    DerivedSizes,
     DimensionMismatchError,
     ModelKind,
     ParameterError,
@@ -20,7 +21,7 @@ from rbcsp.core import (
     similarity,
     tuple_rank,
 )
-from rbcsp.encoder import write_csp_native
+from rbcsp.encoder import read_csp_native, write_csp_native
 from rbcsp.generator import GenRequest, generate
 
 
@@ -135,9 +136,8 @@ class TestTupleRank:
 
 def single_constraint_instance():
     p = params(n=2, alpha=1.0, r=1 / (2 * math.log(2)), p=0.25)
-    sizes = derive_sizes(p)
     con = Constraint(scope=(0, 1), incompatible=(1,))  # forbids (0, 1)
-    return CspInstance(params=p, sizes=sizes, constraints=(con,), seed=0)
+    return CspInstance(params=p, constraints=(con,), seed=0)
 
 
 class TestCheckAssignment:
@@ -225,7 +225,7 @@ class TestConstraint:
     @staticmethod
     def rd_instance(con):
         p = params(model=ModelKind.RD)  # k=2 n=4 d=2 m=6
-        return CspInstance(params=p, sizes=derive_sizes(p), constraints=(con,) * 6, seed=0)
+        return CspInstance(params=p, constraints=(con,) * 6, seed=0)
 
     def test_rejects_duplicate_tuples(self):
         self.rd_instance(Constraint(scope=(0, 1), incompatible=(1, 3)))
@@ -249,11 +249,30 @@ class TestConstraint:
     def test_instance_rejects_wrong_constraint_count(self):
         p = params()
         with pytest.raises(ParameterError):
-            CspInstance(params=p, sizes=derive_sizes(p), constraints=(), seed=0)
+            CspInstance(params=p, constraints=(), seed=0)
 
     def test_instance_rejects_rb_with_wrong_q(self):
         p = params(p=0.5)  # q = 2
         sizes = derive_sizes(p)
         cons = tuple(Constraint((0, 1), (0,)) for _ in range(sizes.m))
         with pytest.raises(ParameterError):
-            CspInstance(params=p, sizes=sizes, constraints=cons, seed=0)
+            CspInstance(params=p, constraints=cons, seed=0)
+
+
+class TestInstanceSizes:
+    # RD k=2 n=4 alpha=0.5 r=1 p=0: d=2, m=6
+    cons = (Constraint(scope=(0, 1), incompatible=(1,)),) * 6
+
+    def test_sizes_are_derived_from_params(self):
+        p = params(model=ModelKind.RD)
+        inst = CspInstance(p, self.cons, 0)
+        assert inst.sizes == derive_sizes(p) == DerivedSizes(d=2, m=6, q=0, tuple_space=4)
+
+    def test_sizes_cannot_be_passed(self):
+        p = params(model=ModelKind.RD)
+        with pytest.raises(TypeError):
+            CspInstance(p, sizes=DerivedSizes(d=3, m=6, q=0, tuple_space=9), constraints=self.cons, seed=0)
+
+    def test_hand_built_instance_round_trips_native(self):
+        inst = CspInstance(params(model=ModelKind.RD), self.cons, seed=5)
+        assert read_csp_native(write_csp_native(inst)) == inst

@@ -17,7 +17,6 @@ from rbcsp.core import (
     ModelKind,
     ParameterError,
     ParseError,
-    derive_sizes,
 )
 from rbcsp.encoder import (
     CnfFormula,
@@ -36,7 +35,7 @@ from rbcsp.solver import SolveConfig, SolveStatus, dpll, enumerate_solutions
 def two_var_instance():
     params = CspParams(ModelKind.RD, 2, 2, 1.0, 1 / (2 * math.log(2)), 0.25)
     con = Constraint(scope=(0, 1), incompatible=(1,))  # forbids (0, 1)
-    return CspInstance(params=params, sizes=derive_sizes(params), constraints=(con,), seed=0)
+    return CspInstance(params=params, constraints=(con,), seed=0)
 
 
 def small_instances(count, model=ModelKind.RB, forced=False):
@@ -101,7 +100,7 @@ class TestSplitting:
             every = tuple(range(36))
             params_full = CspParams.from_sizes(ModelKind.RD, 2, 4, 6, 5, 0.5)
             cons = (Constraint((0, 1), every),) + inst.constraints[1:]
-            return CspInstance(params_full, derive_sizes(params_full), cons, seed=31)
+            return CspInstance(params_full, cons, seed=31)
         return inst
 
     def test_width_bound_respected(self):

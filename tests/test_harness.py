@@ -167,5 +167,4 @@ class TestForcedVsRandom:
         # p = 1: every random instance is UNSAT, so the random arm starves
         params = CspParams(ModelKind.RD, 2, 6, 0.8, 1.5, 0.99)
         with pytest.raises(InsufficientSamplesError):
-            forced_vs_random(params, samples=10, base_seed=3, node_limit=100_000,
-                             budget_factor=2)
+            forced_vs_random(params, samples=10, base_seed=3, node_limit=100_000)

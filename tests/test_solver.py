@@ -20,7 +20,6 @@ from rbcsp.core import (
     RbcspError,
     SizeError,
     check_assignment,
-    derive_sizes,
     tuple_rank,
 )
 from rbcsp.encoder import CnfFormula, encode_cnf
@@ -46,7 +45,7 @@ def unsat_instance():
     inst = generate(GenRequest(params, seed=1))
     every = tuple(range(4))
     cons = (Constraint((0, 1), every),) + inst.constraints[1:]
-    return CspInstance(inst.params, inst.sizes, cons, seed=1)
+    return CspInstance(inst.params, cons, seed=1)
 
 
 class TestSolveCsp:
@@ -136,7 +135,7 @@ class TestEnumerate:
     def test_two_var_example(self):
         params = CspParams(ModelKind.RD, 2, 2, 1.0, 1 / (2 * math.log(2)), 0.25)
         con = Constraint(scope=(0, 1), incompatible=(1,))  # forbids (0, 1)
-        inst = CspInstance(params, derive_sizes(params), (con,), seed=0)
+        inst = CspInstance(params, (con,), seed=0)
         assert enumerate_solutions(inst) == 3
 
     def test_cap_early_exit(self):
@@ -163,7 +162,7 @@ class TestDpll:
     def test_two_var_example_three_models(self):
         params = CspParams(ModelKind.RD, 2, 2, 1.0, 1 / (2 * math.log(2)), 0.25)
         con = Constraint(scope=(0, 1), incompatible=(1,))  # forbids (0, 1)
-        inst = CspInstance(params, derive_sizes(params), (con,), seed=0)
+        inst = CspInstance(params, (con,), seed=0)
         res = dpll(encode_cnf(inst), SolveConfig(count_all=True))
         assert res.status is SolveStatus.SAT
         assert res.solutions == 3
@@ -247,6 +246,80 @@ THRESHOLD_COUNTERS = [
 ]
 
 
+# (status, nodes, backtracks, solutions) of dpll on the direct encoding, the
+# search-tree size that stands in for a tree-like refutation's.  Keyed by
+# (SMALL_FAMILIES index, forced, stream index); the six entries are split
+# width None then 3, each under the default config, count-all and a 3-node
+# limit.
+DPLL_COUNTERS = {
+    (0, False, 0): (("SAT", 2, 0, None), ("SAT", 10, 10, 6), ("SAT", 2, 0, None),
+                   ("SAT", 2, 0, None), ("SAT", 10, 10, 6), ("SAT", 2, 0, None)),
+    (0, False, 1): (("SAT", 2, 0, None), ("SAT", 4, 4, 2), ("SAT", 2, 0, None),
+                   ("SAT", 2, 0, None), ("SAT", 4, 4, 2), ("SAT", 2, 0, None)),
+    (0, True, 0): (("SAT", 2, 0, None), ("SAT", 10, 10, 6), ("SAT", 2, 0, None),
+                  ("SAT", 2, 0, None), ("SAT", 10, 10, 6), ("SAT", 2, 0, None)),
+    (0, True, 1): (("SAT", 1, 0, None), ("SAT", 6, 6, 4), ("SAT", 1, 0, None),
+                  ("SAT", 1, 0, None), ("SAT", 6, 6, 4), ("SAT", 1, 0, None)),
+    (1, False, 0): (("SAT", 4, 0, None), ("SAT", 44, 44, 19), ("LIMIT", 3, 3, None),
+                   ("SAT", 4, 0, None), ("SAT", 44, 44, 19), ("LIMIT", 3, 3, None)),
+    (1, False, 1): (("SAT", 4, 0, None), ("SAT", 62, 62, 32), ("LIMIT", 3, 3, None),
+                   ("SAT", 4, 0, None), ("SAT", 62, 62, 32), ("LIMIT", 3, 3, None)),
+    (1, True, 0): (("SAT", 5, 1, None), ("SAT", 98, 98, 44), ("LIMIT", 3, 3, None),
+                  ("SAT", 5, 1, None), ("SAT", 98, 98, 44), ("LIMIT", 3, 3, None)),
+    (1, True, 1): (("SAT", 6, 1, None), ("SAT", 72, 72, 34), ("LIMIT", 3, 3, None),
+                  ("SAT", 6, 1, None), ("SAT", 72, 72, 34), ("LIMIT", 3, 3, None)),
+    (2, False, 0): (("UNSAT", 2, 2, None), ("UNSAT", 2, 2, 0), ("UNSAT", 2, 2, None),
+                   ("UNSAT", 2, 2, None), ("UNSAT", 2, 2, 0), ("UNSAT", 2, 2, None)),
+    (2, False, 1): (("UNSAT", 2, 2, None), ("UNSAT", 2, 2, 0), ("UNSAT", 2, 2, None),
+                   ("UNSAT", 2, 2, None), ("UNSAT", 2, 2, 0), ("UNSAT", 2, 2, None)),
+    (2, True, 0): (("SAT", 2, 1, None), ("SAT", 2, 2, 1), ("SAT", 2, 1, None),
+                  ("SAT", 2, 1, None), ("SAT", 2, 2, 1), ("SAT", 2, 1, None)),
+    (2, True, 1): (("SAT", 2, 0, None), ("SAT", 4, 4, 2), ("SAT", 2, 0, None),
+                  ("SAT", 2, 0, None), ("SAT", 4, 4, 2), ("SAT", 2, 0, None)),
+    (3, False, 0): (("SAT", 3, 1, None), ("SAT", 6, 6, 2), ("SAT", 3, 1, None),
+                   ("SAT", 3, 1, None), ("SAT", 6, 6, 2), ("SAT", 3, 1, None)),
+    (3, False, 1): (("SAT", 3, 0, None), ("SAT", 12, 12, 4), ("SAT", 3, 0, None),
+                   ("SAT", 3, 0, None), ("SAT", 12, 12, 4), ("SAT", 3, 0, None)),
+    (3, True, 0): (("SAT", 8, 4, None), ("SAT", 10, 10, 2), ("LIMIT", 3, 3, None),
+                  ("SAT", 8, 4, None), ("SAT", 10, 10, 2), ("LIMIT", 3, 3, None)),
+    (3, True, 1): (("SAT", 3, 0, None), ("SAT", 10, 10, 4), ("SAT", 3, 0, None),
+                  ("SAT", 3, 0, None), ("SAT", 10, 10, 4), ("SAT", 3, 0, None)),
+    (4, False, 0): (("SAT", 4, 0, None), ("SAT", 16, 16, 8), ("LIMIT", 3, 3, None),
+                   ("SAT", 4, 0, None), ("SAT", 16, 16, 8), ("LIMIT", 3, 3, None)),
+    (4, False, 1): (("SAT", 6, 1, None), ("SAT", 22, 22, 10), ("LIMIT", 3, 3, None),
+                   ("SAT", 6, 1, None), ("SAT", 22, 22, 10), ("LIMIT", 3, 3, None)),
+    (4, True, 0): (("SAT", 5, 1, None), ("SAT", 20, 20, 10), ("LIMIT", 3, 3, None),
+                  ("SAT", 5, 1, None), ("SAT", 20, 20, 10), ("LIMIT", 3, 3, None)),
+    (4, True, 1): (("SAT", 3, 0, None), ("SAT", 50, 50, 26), ("SAT", 3, 0, None),
+                  ("SAT", 3, 0, None), ("SAT", 50, 50, 26), ("SAT", 3, 0, None)),
+    (5, False, 0): (("SAT", 11, 5, None), ("SAT", 60, 60, 18), ("LIMIT", 3, 3, None),
+                   ("SAT", 11, 5, None), ("SAT", 60, 60, 18), ("LIMIT", 3, 3, None)),
+    (5, False, 1): (("UNSAT", 8, 8, None), ("UNSAT", 8, 8, 0), ("LIMIT", 3, 3, None),
+                   ("UNSAT", 8, 8, None), ("UNSAT", 8, 8, 0), ("LIMIT", 3, 3, None)),
+    (5, True, 0): (("SAT", 5, 1, None), ("SAT", 58, 58, 24), ("LIMIT", 3, 3, None),
+                  ("SAT", 5, 1, None), ("SAT", 58, 58, 24), ("LIMIT", 3, 3, None)),
+    (5, True, 1): (("SAT", 6, 1, None), ("SAT", 22, 22, 5), ("LIMIT", 3, 3, None),
+                  ("SAT", 6, 1, None), ("SAT", 22, 22, 5), ("LIMIT", 3, 3, None)),
+    (6, False, 0): (("SAT", 2, 1, None), ("SAT", 2, 2, 1), ("SAT", 2, 1, None),
+                   ("SAT", 2, 1, None), ("SAT", 2, 2, 1), ("SAT", 2, 1, None)),
+    (6, False, 1): (("UNSAT", 2, 2, None), ("UNSAT", 2, 2, 0), ("UNSAT", 2, 2, None),
+                   ("UNSAT", 2, 2, None), ("UNSAT", 2, 2, 0), ("UNSAT", 2, 2, None)),
+    (6, True, 0): (("SAT", 2, 1, None), ("SAT", 2, 2, 1), ("SAT", 2, 1, None),
+                  ("SAT", 2, 1, None), ("SAT", 2, 2, 1), ("SAT", 2, 1, None)),
+    (6, True, 1): (("SAT", 3, 1, None), ("SAT", 4, 4, 2), ("SAT", 3, 1, None),
+                  ("SAT", 3, 1, None), ("SAT", 4, 4, 2), ("SAT", 3, 1, None)),
+    (7, False, 0): (("SAT", 4, 1, None), ("SAT", 8, 8, 2), ("LIMIT", 3, 3, None),
+                   ("SAT", 4, 1, None), ("SAT", 8, 8, 2), ("LIMIT", 3, 3, None)),
+    (7, False, 1): (("SAT", 9, 3, None), ("SAT", 30, 30, 10), ("LIMIT", 3, 3, None),
+                   ("SAT", 9, 3, None), ("SAT", 30, 30, 10), ("LIMIT", 3, 3, None)),
+    (7, True, 0): (("SAT", 5, 0, None), ("SAT", 20, 20, 8), ("LIMIT", 3, 3, None),
+                  ("SAT", 5, 0, None), ("SAT", 20, 20, 8), ("LIMIT", 3, 3, None)),
+    (7, True, 1): (("SAT", 9, 4, None), ("SAT", 14, 14, 4), ("LIMIT", 3, 3, None),
+                  ("SAT", 9, 4, None), ("SAT", 14, 14, 4), ("LIMIT", 3, 3, None)),
+}
+DPLL_CONFIGS = (SolveConfig(), SolveConfig(count_all=True), SolveConfig(node_limit=3))
+
+
 class TestCounterParity:
     @pytest.mark.parametrize("family,forced", sorted(SMALL_FAMILY_COUNTERS))
     def test_small_families(self, family, forced):
@@ -269,6 +342,17 @@ class TestCounterParity:
         res = solve_csp(inst, SolveConfig(heuristic=heuristic))
         assert (res.status.value, res.nodes, res.backtracks) == (status, nodes, backtracks)
 
+    @pytest.mark.parametrize("family,forced,index", sorted(DPLL_COUNTERS))
+    def test_dpll_on_small_families(self, family, forced, index):
+        seed = derive_stream(1618, 4 * family + 2 * forced + index)
+        inst = generate(GenRequest(small_params(family), seed=seed, forced=forced))
+        got = []
+        for width in (None, 3):
+            cnf = encode_cnf(inst, width)
+            for cfg in DPLL_CONFIGS:
+                res = dpll(cnf, cfg)
+                got.append((res.status.value, res.nodes, res.backtracks, res.solutions))
+        assert tuple(got) == DPLL_COUNTERS[family, forced, index]
 
 class TestWitnessCheck:
     def test_unsound_witness_raises(self, monkeypatch):
@@ -280,7 +364,7 @@ class TestWitnessCheck:
 
     def test_tuple_space_guard(self):
         params = CspParams(ModelKind.RB, 3, 120, 1.0, 0.01, 0.0)  # 120^3 > 2^20
-        inst = CspInstance(params, derive_sizes(params), (Constraint((0, 1, 2), ()),) * 6, seed=0)
+        inst = CspInstance(params, (Constraint((0, 1, 2), ()),) * 6, seed=0)
         with pytest.raises(SizeError, match="exceeds the solver bound"):
             solve_csp(inst)
 
