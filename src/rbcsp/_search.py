@@ -31,19 +31,22 @@ def active_backend() -> str:
 
 
 def _watch_lists(n, d, constraints):
-    """Per variable, one ``(own_mult, forbidden, others)`` entry per constraint
-    on it, in constraint order; ``forbidden`` is the constraint's frozenset of
-    ranks.  ``others`` holds ``(var, mult, masks)`` for every other scope
-    position; ``masks`` starts empty and caches, per partial rank (the
-    position's coordinate zeroed), the bitmask of that position's forbidden
-    values, which ``fc_search`` computes from ``forbidden`` on first lookup."""
+    """Per variable, one ``(own_mult, walk, test, others)`` entry per constraint
+    on it, in constraint order.  ``others`` holds ``(var, mult, masks)`` for
+    every other scope position; ``masks`` starts empty and caches, per partial
+    rank (the position's coordinate zeroed), the bitmask of that position's
+    forbidden values, which ``fc_search`` computes on first lookup by walking
+    the smaller of the looked-up line of d ranks and the q forbidden ranks and
+    testing each in the other: ``walk`` is the forbidden tuple and ``test``
+    None (the line) when q < d, else ``walk`` is None and ``test`` a frozenset."""
     watch = [[] for _ in range(n)]
     for con in constraints:
         k = len(con.scope)
         slots = [(u, d ** (k - 1 - j), {}) for j, u in enumerate(con.scope)]
-        forbidden = frozenset(con.incompatible)
+        ranks = con.incompatible
+        walk, test = (ranks, None) if len(ranks) < d else (None, frozenset(ranks))
         for j, (u, mult, _) in enumerate(slots):
-            watch[u].append((mult, forbidden, tuple(slots[:j] + slots[j + 1:])))
+            watch[u].append((mult, walk, test, tuple(slots[:j] + slots[j + 1:])))
     return watch
 
 
@@ -113,7 +116,7 @@ def fc_search(n, d, constraints, mrv, node_limit, count_all):
         # forward check: prune the single unassigned variable of each
         # constraint that is now fully instantiated but for one slot
         ok = True
-        for own_mult, forbidden, others in watch[var]:
+        for own_mult, walk, test, others in watch[var]:
             partial = val * own_mult
             free = -1
             for u, mult, masks in others:
@@ -127,11 +130,11 @@ def fc_search(n, d, constraints, mrv, node_limit, count_all):
                     free, free_mult, free_masks = u, mult, masks
             if free >= 0:
                 mask = free_masks.get(partial)
-                if mask is None:  # first lookup: walk the smaller of this line and forbidden
+                if mask is None:  # first lookup: O(min(d, q)), see _watch_lists
                     line = range(partial, partial + d * free_mult, free_mult)
-                    ranks, members = (forbidden, line) if len(forbidden) < d else (line, forbidden)
+                    members = line if test is None else test
                     mask = 0
-                    for rank in ranks:
+                    for rank in line if walk is None else walk:
                         if rank in members:
                             mask |= 1 << (rank - partial) // free_mult
                     free_masks[partial] = mask

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby, repeat
 
 from .core import (
     Assignment,
@@ -82,7 +82,7 @@ def _fmt_real(x: float) -> str:
 def _value_tuples(instance: CspInstance) -> dict[int, tuple[int, ...]]:
     """The value tuple of every forbidden rank in the instance, decoded once."""
     d, k = instance.sizes.d, instance.params.k
-    ranks = {rank for con in instance.constraints for rank in con.incompatible}
+    ranks = set().union(*(con.incompatible for con in instance.constraints))
     return {rank: rank_tuple(rank, d, k) for rank in ranks}
 
 
@@ -120,10 +120,12 @@ def encode_cnf(instance: CspInstance, split_width: int | None = None) -> CnfForm
         clauses.extend(map(tuple, pieces))
     for u in range(n):
         clauses.extend(combinations([-var(u, v) for v in range(d)], 2))
+    # -x(u, v) = -(v + 1) - u*d; per scope position, -(v + 1) of every forbidden rank
     values_of = _value_tuples(instance)
+    negs = [{rank: -v - 1 for rank, v in zip(values_of, column)} for column in zip(*values_of.values())]
     for con in instance.constraints:
-        bases = [-var(u, 0) for u in con.scope]  # -x(u, v) = -x(u, 0) - v
-        clauses.extend(tuple(map(operator.sub, bases, values_of[rank])) for rank in con.incompatible)
+        clauses.extend(zip(*[map(operator.sub, map(neg.__getitem__, con.incompatible), repeat(u * d))
+                             for u, neg in zip(con.scope, negs)]))
 
     p = instance.params
     meta = (
@@ -143,15 +145,12 @@ def encode_cnf(instance: CspInstance, split_width: int | None = None) -> CnfForm
 
 
 def write_dimacs(cnf: CnfFormula) -> str:
-    lines = [f"c {key}={value}" for key, value in cnf.metadata]
-    lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
-    formats: dict[int, str] = {}  # clause width -> "%d %d ... 0"
-    for clause in cnf.clauses:
-        fmt = formats.get(len(clause))
-        if fmt is None:
-            fmt = formats[len(clause)] = "%d " * len(clause) + "0"
-        lines.append(fmt % clause)
-    return "\n".join(lines) + "\n"
+    parts = [f"c {key}={value}\n" for key, value in cnf.metadata]
+    parts.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n")
+    for width, run in groupby(cnf.clauses, len):  # one format per run of equal-width clauses
+        run = list(run)
+        parts.append(("%d " * width + "0\n") * len(run) % tuple(chain.from_iterable(run)))
+    return "".join(parts)
 
 
 def read_dimacs(text: str) -> CnfFormula:
@@ -275,30 +274,41 @@ def read_csp_native(text: str) -> CspInstance:
             fail(no, f"RB constraint has {len(ranks)} tuples, expected q = {sizes.q}")
         constraints.append(Constraint(scope=scope, incompatible=tuple(ranks)))
 
-    seen: dict[str, int] = {}  # rank of each distinct valid 't' line text
-    for no, line in enumerate(lines[3:], start=3):
-        stripped = line.strip()
-        rank = seen.get(stripped)
-        if rank is None:
-            if not stripped:
-                continue
-            fields = stripped.split()
-            if fields[0] == "c":
-                flush(no)
-                scope = tuple(indices(no, fields, "variables", params.n))
-                if len(set(scope)) != len(scope):
-                    fail(no, f"repeated variable in {stripped!r}")
-                ranks = []
-                continue
-            if fields[0] != "t":
-                fail(no, f"unrecognized line {stripped!r}")
-        if scope is None:
-            fail(no, "tuple line before any constraint line")
-        if rank is None:
-            rank = seen[stripped] = tuple_rank(indices(no, fields, "values", sizes.d), sizes.d)
-        if ranks and rank <= ranks[-1]:
-            fail(no, "tuples out of ascending rank order")
-        ranks.append(rank)
+    seen: dict[str, int] = {}  # rank of each distinct well-formed 't' line text
+    for line in set(lines):
+        fields = line.split()
+        if fields and fields[0] == "t":
+            try:
+                seen[line] = tuple_rank(indices(0, fields, "values", sizes.d), sizes.d)
+            except ParseError:
+                pass  # reported with its line number below
+    known = [*map(seen.get, lines), None]  # the rank of each line, None if not a known 't' line
+    no = 3
+    while no < len(lines):
+        stripped = lines[no].strip()
+        fields = stripped.split()
+        if fields and fields[0] == "t":
+            if scope is None:
+                fail(no, "tuple line before any constraint line")
+            end = known.index(None, no)  # lines no..end-1 are well-formed 't' lines
+            if end == no:
+                indices(no, fields, "values", sizes.d)  # raises: well-formed lines were ranked above
+            run = known[no:end]
+            ascending = list(map(operator.lt, [ranks[-1] if ranks else -1, *run], run))
+            if False in ascending:
+                fail(no + ascending.index(False), "tuples out of ascending rank order")
+            ranks += run
+            no = end
+            continue
+        if fields and fields[0] == "c":
+            flush(no)
+            scope = tuple(indices(no, fields, "variables", params.n))
+            if len(set(scope)) != len(scope):
+                fail(no, f"repeated variable in {stripped!r}")
+            ranks = []
+        elif fields:
+            fail(no, f"unrecognized line {stripped!r}")
+        no += 1
     flush(len(lines))
 
     if len(constraints) != sizes.m:

@@ -5,7 +5,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from rbcsp.analysis import p_threshold
 from rbcsp.core import (
@@ -30,6 +30,8 @@ from rbcsp.encoder import (
 from rbcsp.generator import GenRequest, generate
 from rbcsp.rng import derive_stream
 from rbcsp.solver import SolveConfig, SolveStatus, dpll, enumerate_solutions
+
+import reference_encoder as reference
 
 
 def two_var_instance():
@@ -285,6 +287,41 @@ class TestNativeFormat:
         assert "line 2" in str(exc.value)
         assert time.perf_counter() - start < 1.0
 
+    # RB k=2 n=4 d=2 m=6 q=2: every constraint forbids two of its four tuples
+    SMALL_HEAD = "RBCSP 1\nparams rb 2 4 0.5 1 0.5 3\nsizes 2 6\n"
+    ONE = "c 1 2\nt 1 1\nt 1 2\n"
+
+    def parse_error(self, text):
+        with pytest.raises(ParseError) as exc:
+            read_csp_native(text)
+        return exc.value.line_no, str(exc.value).split(": ", 1)[1]
+
+    def test_known_tuples_out_of_order_name_the_second(self):
+        # both 't' texts are ranked by the first constraint before the swap
+        text = self.SMALL_HEAD + self.ONE + "c 1 3\nt 1 2\nt 1 1\n" + self.ONE * 4
+        assert self.parse_error(text) == (9, "tuples out of ascending rank order")
+
+    def test_order_is_checked_across_a_blank_line(self):
+        text = self.SMALL_HEAD + self.ONE + "c 1 3\nt 1 2\n\nt 1 1\n" + self.ONE * 4
+        assert self.parse_error(text) == (10, "tuples out of ascending rank order")
+
+    def test_repeated_tuple_names_the_repeat(self):
+        text = self.SMALL_HEAD + self.ONE + "c 2 3\nt 1 1\nt 1 1\n" + self.ONE * 4
+        assert self.parse_error(text) == (9, "tuples out of ascending rank order")
+
+    def test_known_tuples_before_first_constraint_name_the_first(self):
+        text = self.SMALL_HEAD + "t 1 1\nt 1 2\n" + self.ONE * 6
+        assert self.parse_error(text) == (4, "tuple line before any constraint line")
+
+    def test_padded_tuple_lines_and_blank_lines_parse(self):
+        body = "c 1 2\n  t 1 1 \n\n\tt  1 2\n   \n" + self.ONE * 4 + "c 3 4\nt 2 1\n\nt 2 2\t\n"
+        inst = read_csp_native(self.SMALL_HEAD + body)
+        assert inst.constraints == (Constraint((0, 1), (0, 1)),) * 5 + (Constraint((2, 3), (2, 3)),)
+
+    def test_malformed_tuple_line_after_known_ones_names_itself(self):
+        text = self.SMALL_HEAD + "c 1 2\nt 1 1\nt 1 3\n" + self.ONE * 5
+        assert self.parse_error(text) == (6, "values out of range in 't 1 3'")
+
     def test_rb_wrong_tuple_count(self):
         # q = 2 for these params, give one tuple only
         text = (
@@ -408,6 +445,32 @@ def test_dimacs_write_read_is_identity(inst, split_width):
     assert (back.num_vars, back.clauses) == (cnf.num_vars, cnf.clauses)
 
 
+def _rd_p0(k, seed):
+    # RD at p = 0: every constraint forbids no tuple
+    return generate(GenRequest(CspParams.from_sizes(ModelKind.RD, k, 6, 3, 5, 0.0), seed=seed))
+
+
+@PROPERTY
+@given(inst=generated_instances(), split_width=st.sampled_from([None, 3, 4]))
+@example(inst=_rd_p0(2, 1), split_width=None)
+@example(inst=_rd_p0(3, 2), split_width=3)
+def test_run_at_a_time_io_matches_clause_at_a_time_reference(inst, split_width):
+    cnf = encode_cnf(inst, split_width)
+    assert cnf == reference.encode_cnf(inst, split_width)
+    assert write_dimacs(cnf) == reference.write_dimacs(cnf)
+    text = write_csp_native(inst)
+    assert read_csp_native(text) == reference.read_csp_native(text)
+
+
+def test_write_dimacs_empty_clause_and_mixed_widths():
+    cnf = read_dimacs("p cnf 4 7\n1 -2 0\n3 4 0 0\n-1\n2 3 0\n4 0\n1 2 0\n0\n")
+    assert cnf.clauses == ((1, -2), (3, 4), (), (-1, 2, 3), (4,), (1, 2), ())
+    text = write_dimacs(cnf)
+    assert text == reference.write_dimacs(cnf)
+    assert text == "p cnf 4 7\n1 -2 0\n3 4 0\n0\n-1 2 3 0\n4 0\n1 2 0\n0\n"
+    assert write_dimacs(CnfFormula(num_vars=0, clauses=())) == "p cnf 0 0\n"
+
+
 _JUNK = ["", "x", "1.5", "nan", "inf", "1e-9", "1e999", "c", "t", "p", "cnf", "%", "rb", "rd"]
 _EDITS = ["token", "token", "token", "delete", "duplicate", "swap", "char", "truncate"]
 
@@ -456,6 +519,19 @@ def test_mutated_native_text_raises_only_parse_error(text):
         read_csp_native(text)
     except ParseError:
         pass
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ParseError as exc:
+        return exc.line_no, str(exc)
+
+
+@PROPERTY
+@given(text=st.sampled_from([write_csp_native(inst) for inst in _SEEDS_FOR_MUTATION]).flatmap(mutated))
+def test_mutated_native_text_reads_as_line_at_a_time_reference(text):
+    assert _outcome(read_csp_native, text) == _outcome(reference.read_csp_native, text)
 
 
 @PROPERTY

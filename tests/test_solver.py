@@ -404,9 +404,12 @@ def _check_cached_masks(watch, d, constraints):
     for u, entries in enumerate(watch):
         cons_on_u = [con for con in constraints if u in con.scope]
         assert len(entries) == len(cons_on_u)
-        for con, (own_mult, forbidden, others) in zip(cons_on_u, entries):
+        for con, (own_mult, walk, test, others) in zip(cons_on_u, entries):
             k = len(con.scope)
-            assert forbidden == frozenset(con.incompatible)
+            if len(con.incompatible) < d:
+                assert walk == con.incompatible and test is None
+            else:
+                assert walk is None and test == frozenset(con.incompatible)
             assert own_mult == d ** (k - 1 - con.scope.index(u))
             for var, mult, masks in others:
                 j = con.scope.index(var)
