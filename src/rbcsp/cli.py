@@ -89,6 +89,8 @@ def _cmd_gen(args) -> int:
         raise ParameterError(f"count must be >= 1, got {args.count}")
     if args.split_width is not None and args.split_width < 3:
         raise ParameterError(f"split_width must be >= 3, got {args.split_width}")
+    if args.emit_solution and not args.forced:
+        raise ParameterError("--emit-solution needs --forced: random instances hide no solution")
     params = _params_from(args)
     sizes = derive_sizes(params)
     out_dir = Path(args.out_dir)
@@ -101,7 +103,7 @@ def _cmd_gen(args) -> int:
             _write(out_dir / f"{stem}.csp", write_csp_native(instance))
         if args.format in ("dimacs", "both"):
             _write(out_dir / f"{stem}.cnf", write_dimacs(encode_cnf(instance, args.split_width)))
-        if args.emit_solution and instance.forced is not None:
+        if args.emit_solution:
             _write(out_dir / f"{stem}.solution", write_solution(instance.forced))
     return 0
 
@@ -146,8 +148,11 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    instance = read_csp_native(Path(args.input).read_text(encoding="utf-8"))
-    out = Path(args.out) if args.out else Path(args.input).with_suffix(".cnf")
+    path = Path(args.input)
+    out = Path(args.out) if args.out else path.with_suffix(".cnf")
+    if out.exists() and out.samefile(path):
+        raise RbcspError(f"output {out} is the input file; name another with --out")
+    instance = read_csp_native(path.read_text(encoding="utf-8"))
     _write(out, write_dimacs(encode_cnf(instance, args.split_width)))
     return 0
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, combinations, groupby, repeat
+from itertools import chain, combinations, groupby
 
 from .core import (
     Assignment,
@@ -109,23 +109,21 @@ def encode_cnf(instance: CspInstance, split_width: int | None = None) -> CnfForm
         raise ParameterError(f"split_width must be >= 3, got {split_width}")
     n = instance.params.n
     d = instance.sizes.d
-
-    def var(u: int, v: int) -> int:
-        return u * d + v + 1
-
+    # lits[u][v] = -x(u, v): one int per negative literal, shared by every clause
+    lits = [list(range(-u * d - 1, -u * d - d - 1, -1)) for u in range(n)]
     clauses: list[tuple[int, ...]] = []
     next_aux = n * d + 1
-    for u in range(n):
-        pieces, next_aux = _split_clause([var(u, v) for v in range(d)], split_width or d, next_aux)
+    for row in lits:
+        pieces, next_aux = _split_clause([-lit for lit in row], split_width or d, next_aux)
         clauses.extend(map(tuple, pieces))
-    for u in range(n):
-        clauses.extend(combinations([-var(u, v) for v in range(d)], 2))
-    # -x(u, v) = -(v + 1) - u*d; per scope position, -(v + 1) of every forbidden rank
+    for row in lits:
+        clauses.extend(combinations(row, 2))
+    # per scope position, the value of every forbidden rank
     values_of = _value_tuples(instance)
-    negs = [{rank: -v - 1 for rank, v in zip(values_of, column)} for column in zip(*values_of.values())]
+    columns = [dict(zip(values_of, column)) for column in zip(*values_of.values())]
     for con in instance.constraints:
-        clauses.extend(zip(*[map(operator.sub, map(neg.__getitem__, con.incompatible), repeat(u * d))
-                             for u, neg in zip(con.scope, negs)]))
+        clauses.extend(zip(*[map(lits[u].__getitem__, map(column.__getitem__, con.incompatible))
+                             for u, column in zip(con.scope, columns)]))
 
     p = instance.params
     meta = (

@@ -9,7 +9,7 @@ import pytest
 
 from rbcsp.cli import build_parser, cli_main
 from rbcsp.core import CspParams, ModelKind
-from rbcsp.encoder import write_csp_native
+from rbcsp.encoder import encode_cnf, write_csp_native, write_dimacs
 from rbcsp.generator import GenRequest, generate
 
 
@@ -193,6 +193,25 @@ class TestEncodeCmd:
         assert code == 0
         assert out_path.read_bytes() == direct
 
+    def test_refuses_to_overwrite_its_input(self, capsys, tmp_path):
+        # a native file named .cnf: its default output path is the file itself
+        inst = generate(GenRequest(CspParams(ModelKind.RB, 2, 6, 0.7, 1.0, 0.4), seed=5))
+        path = tmp_path / "inst.cnf"
+        path.write_text(write_csp_native(inst), encoding="utf-8")
+        before = path.read_bytes()
+        for argv in (["encode", str(path)], ["encode", str(path), "--out", str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("rbcsp: error: output ")
+            assert "is the input file" in err
+            assert path.read_bytes() == before
+        elsewhere = tmp_path / "elsewhere.cnf"
+        code, _, _ = run(capsys, "encode", str(path), "--out", str(elsewhere))
+        assert code == 0
+        assert elsewhere.read_text(encoding="utf-8") == write_dimacs(encode_cnf(inst))
+        assert path.read_bytes() == before
+
 
 class TestProfileCmd:
     def test_csv_shape(self, capsys):
@@ -353,6 +372,7 @@ class TestRejectedBeforeAnyOutput:
         (["gen", *PARAMS, "--seed", "1", "--count", "-1"], "count must be >= 1"),
         (["gen", *PARAMS, "--seed", "1", "--split-width", "1"], "split_width must be >= 3"),
         (["gen", *PARAMS, "--seed", "1", "--split-width", "2"], "split_width must be >= 3"),
+        (["gen", *PARAMS, "--seed", "1", "--emit-solution"], "--emit-solution needs --forced"),
         *((["compare-forced", *PARAMS, "--seed", "1", "--samples", s], "samples must be >= 10")
           for s in ("9", "0", "-1")),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)

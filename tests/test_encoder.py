@@ -409,6 +409,20 @@ def test_k3_dimacs_golden(model, forced, width):
     assert hashlib.sha256(text.encode()).hexdigest() == K3_DIMACS_GOLDENS[model, forced, width]
 
 
+@pytest.mark.parametrize("model", ["rb", "rd"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("width", [None, 3, 4])
+def test_each_literal_value_is_one_int_object(model, k, forced, width):
+    """encode_cnf builds every clause from one shared int per literal value,
+    not a new int per occurrence."""
+    params = CspParams(ModelKind(model), k, *GOLDEN_FAMILIES[k])
+    inst = generate(GenRequest(params, seed=1, forced=forced))
+    lits = list(itertools.chain.from_iterable(encode_cnf(inst, width).clauses))
+    assert min(lits) < -5  # below CPython's small-int cache, which would share them anyway
+    assert len(set(map(id, lits))) == len(set(lits))
+
+
 def test_solution_sidecar_format():
     text = write_solution(Assignment((0, 2, 1)))
     assert text == "1 1\n2 3\n3 2\n"
