@@ -115,24 +115,22 @@ def _cmd_thresholds(args) -> int:
     r_cr = analysis.r_threshold(args.alpha, args.p) if args.p is not None else None
     r_for_conditions = args.r if args.r is not None else r_cr
     p_cr = analysis.p_threshold(args.alpha, r_for_conditions)
-    if r_cr is not None:
-        print(f"r_cr={r_cr:.12f}")
-    print(f"p_cr={p_cr:.12f}")
     params = CspParams(
         model=ModelKind.RB, k=args.k, n=max(args.n, 2),
         alpha=args.alpha, r=r_for_conditions,
         p=args.p if args.p is not None else p_cr,
     )
-    for cond in analysis.check_conditions(params):
-        print(f"condition.{cond.name}={'ok' if cond.satisfied else 'violated'} "
-              f"margin={cond.margin:.6f}")
+    # every value before any output, so that a rejected parameter prints nothing
+    lines = [f"r_cr={r_cr:.12f}"] if r_cr is not None else []
+    lines.append(f"p_cr={p_cr:.12f}")
+    lines += [f"condition.{cond.name}={'ok' if cond.satisfied else 'violated'} "
+              f"margin={cond.margin:.6f}" for cond in analysis.check_conditions(params)]
     if args.n >= 2:
         sizes = derive_sizes(params)
-        print(f"d={sizes.d}")
-        print(f"m={sizes.m}")
-        print(f"q={sizes.q}")
-        print(f"log_first_moment={analysis.first_moment_log(params):.9f}")
-        print(f"log_forced_expected={analysis.forced_expected_count_log(params):.9f}")
+        lines += [f"d={sizes.d}", f"m={sizes.m}", f"q={sizes.q}",
+                  f"log_first_moment={analysis.first_moment_log(params):.9f}",
+                  f"log_forced_expected={analysis.forced_expected_count_log(params):.9f}"]
+    print("\n".join(lines))
     return 0
 
 

@@ -158,6 +158,18 @@ def rank_tuple(rank: int, d: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _unchecked(cls, **fields):
+    """A frozen dataclass `cls` holding `fields` as given, without its
+    `__post_init__`: only for objects whose producer has already checked
+    every invariant that method enforces (see its call sites).  Fields are
+    set one by one, as `__init__` does; updating `obj.__dict__` instead
+    would give every object its own unshared dict."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class Constraint:
     """Scope (k distinct variable indices, ascending) plus the ranks of the

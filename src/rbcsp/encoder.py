@@ -44,6 +44,7 @@ from .core import (
     ModelKind,
     ParameterError,
     ParseError,
+    _unchecked,
     derive_sizes,
     rank_tuple,
     tuple_rank,
@@ -62,6 +63,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CnfFormula:
+    """Clauses over variables 1..num_vars; the constructor range-checks every
+    literal.  `encode_cnf` and `read_dimacs` build theirs in range and skip it."""
+
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
     metadata: tuple[tuple[str, str], ...] = field(default=())
@@ -139,7 +143,7 @@ def encode_cnf(instance: CspInstance, split_width: int | None = None) -> CnfForm
         ("seed", str(instance.seed)),
         ("forced", "1" if instance.forced is not None else "0"),
     )
-    return CnfFormula(num_vars=next_aux - 1, clauses=tuple(clauses), metadata=meta)
+    return _unchecked(CnfFormula, num_vars=next_aux - 1, clauses=tuple(clauses), metadata=meta)
 
 
 def write_dimacs(cnf: CnfFormula) -> str:
@@ -192,7 +196,7 @@ def read_dimacs(text: str) -> CnfFormula:
         raise ParseError(no, "last clause is not terminated by 0")
     if len(clauses) != header[1]:
         raise ParseError(no, f"found {len(clauses)} clauses, header declares {header[1]}")
-    return CnfFormula(num_vars=header[0], clauses=tuple(clauses))
+    return _unchecked(CnfFormula, num_vars=header[0], clauses=tuple(clauses), metadata=())
 
 
 def write_csp_native(instance: CspInstance) -> str:
@@ -270,7 +274,7 @@ def read_csp_native(text: str) -> CspInstance:
             return
         if params.model is ModelKind.RB and len(ranks) != sizes.q:
             fail(no, f"RB constraint has {len(ranks)} tuples, expected q = {sizes.q}")
-        constraints.append(Constraint(scope=scope, incompatible=tuple(ranks)))
+        constraints.append(_unchecked(Constraint, scope=scope, incompatible=tuple(ranks)))
 
     seen: dict[str, int] = {}  # rank of each distinct well-formed 't' line text
     for line in set(lines):
@@ -311,7 +315,9 @@ def read_csp_native(text: str) -> CspInstance:
 
     if len(constraints) != sizes.m:
         raise ParseError(len(lines), f"found {len(constraints)} constraints, expected m = {sizes.m}")
-    return CspInstance(params=params, constraints=tuple(constraints), seed=seed)
+    # the lines above checked every scope, rank range, rank order and count
+    return _unchecked(CspInstance, params=params, sizes=sizes, constraints=tuple(constraints),
+                      seed=seed, forced=None)
 
 
 def write_solution(assignment: Assignment) -> str:

@@ -13,8 +13,8 @@ with the instance seed and consumed in this order:
 
    * RB draws a uniform q-subset of the d^k tuple ranks with Floyd's
      algorithm (exactly q ``next_below`` calls);
-   * RD walks ranks 0..d^k-1 and marks each incompatible when
-     ``next_float() < p``;
+   * RD walks ranks 0..d^k-1 and marks each incompatible when the float
+     of its draw, ``(x >> 11) 2^-53``, is below p;
    * forced variants exclude the rank the hidden assignment induces on the
      scope: RB runs Floyd over d^k - 1 ranks and shifts ranks >= hidden up
      by one; RD skips the hidden rank (one fewer coin).
@@ -25,7 +25,7 @@ rank is exactly the conditional law of rejection sampling whole
 constraints against the hidden assignment.
 
 Every loop below pulls raw draws from the stream's ``draws`` iterator and
-inlines ``next_below``'s rejection and ``next_float``'s coin (``x <
+inlines ``next_below``'s rejection and the float coin (``x <
 ceil(p 2^53) 2^11`` is exactly ``(x >> 11) 2^-53 < p``), so this protocol is
 unchanged draw for draw: a rejection consumes exactly one raw draw and
 shifts every later draw by one.  An instance that needs more than
@@ -35,6 +35,7 @@ shifts every later draw by one.  An instance that needs more than
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -46,6 +47,7 @@ from .core import (
     ForcedInfeasibleError,
     ModelKind,
     SizeError,
+    _unchecked,
     derive_sizes,
     tuple_rank,
 )
@@ -118,22 +120,20 @@ def generate(request: GenRequest) -> CspInstance:
 
     scopes = [_draw_scope(draws, n, k) for _ in range(m)]
 
+    # by construction: m scopes of k distinct variables < n, each with
+    # (for RB, q) distinct ascending ranks < d^k, so the constructors' checks are skipped
     constraints = []
+    size = space if hidden_t is None else space - 1
     for scope in scopes:
-        size = space if hidden_t is None else space - 1
         if params.model is ModelKind.RB:
-            ranks = _floyd_subset(draws, size, q)
+            ranks = sorted(_floyd_subset(draws, size, q))
         else:
             ranks = _coin_walk(draws, size, params.p)
         if hidden_t is not None:
             # drawn from the space with the hidden rank removed: shift back
-            hidden_rank = tuple_rank([hidden_t[u] for u in scope], d)
-            ranks = [rk + (rk >= hidden_rank) for rk in ranks]
-        constraints.append(Constraint(scope=scope, incompatible=tuple(ranks)))
+            i = bisect_left(ranks, tuple_rank([hidden_t[u] for u in scope], d))
+            ranks[i:] = map((1).__add__, ranks[i:])
+        constraints.append(_unchecked(Constraint, scope=scope, incompatible=tuple(ranks)))
 
-    return CspInstance(
-        params=params,
-        constraints=tuple(constraints),
-        seed=request.seed,
-        forced=hidden_t,
-    )
+    return _unchecked(CspInstance, params=params, sizes=sizes, constraints=tuple(constraints),
+                      seed=request.seed, forced=hidden_t)

@@ -25,7 +25,7 @@ Derived draws are defined on top of the raw 64-bit stream:
   draws ``x`` are rejected while ``x < 2^64 mod bound``; the first accepted
   ``x`` yields ``x mod bound``.  The accepted range has size a multiple of
   ``bound``, so the result is exactly uniform; each rejection is one draw.
-* ``next_float()`` maps a draw to ``[0, 1)`` as ``(x >> 11) * 2^-53``.
+* a float in ``[0, 1)`` is ``(x >> 11) * 2^-53`` of one draw ``x``.
 
 ``derive_stream(base_seed, index)`` is the stateless batch-seed derivation:
 it returns the splitmix64 output function applied to
@@ -47,8 +47,6 @@ MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
 FIRST_BLOCK = 16  # raw draws in a stream's first block
 BLOCK = 1024  # raw draws in every later block
-
-_INV_2_53 = 1.0 / (1 << 53)
 
 
 def mix64(z: int) -> int:
@@ -88,16 +86,13 @@ def _block(state: int, size: int) -> tuple[int, ...]:
 
 
 class SplitMix64:
-    """splitmix64 stream; the methods and ``next(draws)`` share one iterator."""
+    """splitmix64 stream; ``next_below`` and ``next(draws)`` share one iterator."""
 
     __slots__ = ("draws",)
 
     def __init__(self, seed: int):
         states = chain((seed,), count(seed + FIRST_BLOCK * GAMMA, BLOCK * GAMMA))
         self.draws = chain.from_iterable(map(_block, states, chain((FIRST_BLOCK,), repeat(BLOCK))))
-
-    def next_u64(self) -> int:
-        return next(self.draws)
 
     def next_below(self, bound: int) -> int:
         """Exactly uniform integer in [0, bound) via modulo rejection."""
@@ -109,6 +104,3 @@ class SplitMix64:
             x = next(self.draws)
         return x % bound
 
-    def next_float(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (next(self.draws) >> 11) * _INV_2_53

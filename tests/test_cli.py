@@ -375,6 +375,8 @@ class TestRejectedBeforeAnyOutput:
         (["gen", *PARAMS, "--seed", "1", "--emit-solution"], "--emit-solution needs --forced"),
         *((["compare-forced", *PARAMS, "--seed", "1", "--samples", s], "samples must be >= 10")
           for s in ("9", "0", "-1")),
+        (["thresholds", "--alpha", "0.8", "--p", "0.3", "--k", "1"], "arity k must be >= 2"),
+        (["thresholds", "--alpha", "400", "--p", "0.3", "--n", "10"], "sizes overflow"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_exit_2(self, capsys, tmp_path, argv, message):
         out_dir = tmp_path / "out"

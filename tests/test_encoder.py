@@ -476,6 +476,43 @@ def test_run_at_a_time_io_matches_clause_at_a_time_reference(inst, split_width):
     assert read_csp_native(text) == reference.read_csp_native(text)
 
 
+def _rebuilt_checked(inst):
+    """`inst`'s fields passed again through the checked constructors."""
+    constraints = tuple(Constraint(scope=con.scope, incompatible=con.incompatible)
+                        for con in inst.constraints)
+    return CspInstance(params=inst.params, constraints=constraints, seed=inst.seed, forced=inst.forced)
+
+
+def _assert_producers_pass_the_constructor_checks(inst):
+    """generate, read_csp_native, encode_cnf and read_dimacs skip the
+    constructors' checks; what they build must pass those checks unchanged."""
+    assert inst == _rebuilt_checked(inst)
+    back = read_csp_native(write_csp_native(inst))
+    assert back == _rebuilt_checked(back)
+    for width in (None, 3, 4):
+        cnf = encode_cnf(inst, width)
+        assert cnf == CnfFormula(cnf.num_vars, cnf.clauses, cnf.metadata)
+        read = read_dimacs(write_dimacs(cnf))
+        assert read == CnfFormula(read.num_vars, read.clauses, read.metadata)
+
+
+@pytest.mark.parametrize("model", ["rb", "rd"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("forced", [False, True])
+def test_producers_build_what_the_checked_constructors_build(model, k, forced):
+    params = CspParams(ModelKind(model), k, *GOLDEN_FAMILIES[k])
+    for seed in (1, 7, 2024):
+        _assert_producers_pass_the_constructor_checks(generate(GenRequest(params, seed=seed, forced=forced)))
+
+
+@PROPERTY
+@given(inst=generated_instances())
+@example(inst=_rd_p0(2, 1))
+@example(inst=_rd_p0(3, 2))
+def test_small_producer_outputs_pass_the_constructor_checks(inst):
+    _assert_producers_pass_the_constructor_checks(inst)
+
+
 def test_write_dimacs_empty_clause_and_mixed_widths():
     cnf = read_dimacs("p cnf 4 7\n1 -2 0\n3 4 0 0\n-1\n2 3 0\n4 0\n1 2 0\n0\n")
     assert cnf.clauses == ((1, -2), (3, 4), (), (-1, 2, 3), (4,), (1, 2), ())

@@ -18,6 +18,8 @@ from rbcsp.encoder import write_csp_native
 from rbcsp.generator import MAX_GEN_DRAWS, GenRequest, generate
 from rbcsp.rng import GAMMA, MASK64, SplitMix64, derive_stream, mix64
 
+from reference_rng import ScalarSplitMix64
+
 
 def test_rb_exact_q_per_constraint():
     params = CspParams(ModelKind.RB, 2, 4, 0.5, 1.0, 0.5)
@@ -188,29 +190,6 @@ def test_rd_p1_random_all_incompatible():
     inst = generate(GenRequest(params, seed=3))
     for con in inst.constraints:
         assert len(con.incompatible) == 4
-
-
-class ScalarSplitMix64:
-    """Vigna's splitmix64 one draw at a time, counting rejected draws."""
-
-    def __init__(self, seed):
-        self.state = seed & MASK64
-        self.rejections = 0
-
-    def next_u64(self):
-        self.state = (self.state + GAMMA) & MASK64
-        return mix64(self.state)
-
-    def next_below(self, bound):
-        threshold = (1 << 64) % bound
-        x = self.next_u64()
-        while x < threshold:
-            self.rejections += 1
-            x = self.next_u64()
-        return x % bound
-
-    def next_float(self):
-        return (self.next_u64() >> 11) * 2.0 ** -53
 
 
 def reference_generate(params, seed, forced):

