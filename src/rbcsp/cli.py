@@ -270,7 +270,8 @@ def build_parser() -> _Parser:
     slv = subs.add_parser("solve", help="solve an RBCSP or DIMACS file")
     slv.add_argument("input")
     slv.add_argument("--format", choices=["rbcsp", "dimacs"], default=None)
-    slv.add_argument("--heuristic", choices=["lex", "mrv"], default="mrv")
+    slv.add_argument("--heuristic", choices=["lex", "mrv"], default="mrv",
+                     help="variable order of forward checking on .csp input (dpll ignores it)")
     slv.add_argument("--node-limit", type=int, default=None)
     slv.add_argument("--count-all", action="store_true")
     slv.add_argument("--no-witness", action="store_true")

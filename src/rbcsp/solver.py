@@ -5,12 +5,12 @@
 * :func:`enumerate_solutions` — exhaustive oracle, deliberately independent
   of the search kernel.
 * :func:`dpll` — minimal DPLL (unit propagation + lowest-index splitting)
-  for cross-validating the CNF encoder, with exact model counting.
+  for cross-validating the CNF encoder, with exact model counting; one loop
+  over a stack of open branches that undoes assignments along a trail.
 """
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass
 from itertools import product
@@ -31,7 +31,7 @@ from .encoder import CnfFormula
 __all__ = ["SolveConfig", "SolveResult", "SolveStatus", "solve_csp", "enumerate_solutions", "dpll"]
 
 MAX_TUPLE_SPACE = 1 << 20
-MAX_DPLL_VARS = 1 << 16  # dpll recurses per split and copies the assignment per node
+MAX_DPLL_VARS = 1 << 16  # dpll sizes its arrays from the num_vars of an untrusted header
 ENUM_ADVISORY = 10 ** 7
 
 
@@ -113,9 +113,12 @@ def dpll(cnf: CnfFormula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     limit = cfg.node_limit
     nodes = backtracks = solutions = 0
     witness = None
-    limited = False
+    status = SolveStatus.UNSAT
+    assign = [0] * (num_vars + 1)
+    trail = []  # assigned variables, in assignment order
+    branches = []  # open branches: (var, sign, len(trail) before it)
 
-    def propagate(assign: list[int]) -> bool | None:
+    def propagate() -> bool | None:
         """Assign forced literals until fixpoint; None on conflict, else
         whether the last pass found every clause satisfied."""
         changed = True
@@ -141,49 +144,43 @@ def dpll(cnf: CnfFormula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
                 all_satisfied = False
                 if n_unassigned == 1:
                     assign[abs(unassigned_lit)] = 1 if unassigned_lit > 0 else -1
+                    trail.append(abs(unassigned_lit))
                     changed = True
         return all_satisfied
 
-    def search(assign: list[int]) -> bool:
-        """True once a model is found and counting is off."""
-        nonlocal nodes, backtracks, solutions, witness, limited
-        satisfied = propagate(assign)
-        if satisfied is None:
-            return False
-        if satisfied:
-            solutions += 1 << assign[1:].count(0)  # each free variable takes either value
-            if witness is None:
-                witness = tuple(v > 0 for v in assign[1:])
-            return not cfg.count_all
-        var = assign.index(0, 1)
-        for sign in (1, -1):
-            if limit is not None and nodes >= limit:
-                limited = True
-                return False
-            nodes += 1
-            branch = list(assign)
-            branch[var] = sign
-            if search(branch):
-                return True
-            backtracks += 1
-            if limited:
-                return False
-        return False
+    while True:
+        satisfied = propagate()
+        if satisfied is False:  # undecided: split, true side first
+            var, sign = assign.index(0, 1), 1
+        else:
+            if satisfied:
+                solutions += 1 << assign[1:].count(0)  # each free variable takes either value
+                if witness is None:
+                    witness = tuple(v > 0 for v in assign[1:])
+                if not cfg.count_all:
+                    break
+            # conflict or counted model: retract up to the last untried false side
+            while branches:
+                var, sign, mark = branches.pop()
+                backtracks += 1
+                while len(trail) > mark:
+                    assign[trail.pop()] = 0
+                if sign == 1:
+                    break
+            else:
+                break
+            sign = -1
+        if limit is not None and nodes >= limit:
+            backtracks += len(branches)  # each open branch is retracted once
+            status = SolveStatus.LIMIT
+            break
+        nodes += 1
+        branches.append((var, sign, len(trail)))
+        assign[var] = sign
+        trail.append(var)
 
-    # search recurses once per split variable; lift the process-wide limit
-    # for the duration of the call only
-    saved_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(saved_limit, 2 * num_vars + 200))
-    try:
-        search([0] * (num_vars + 1))
-    finally:
-        sys.setrecursionlimit(saved_limit)
-    if limited:
-        status = SolveStatus.LIMIT
-    elif solutions > 0:
+    if status is SolveStatus.UNSAT and solutions > 0:
         status = SolveStatus.SAT
-    else:
-        status = SolveStatus.UNSAT
     return SolveResult(
         status=status,
         witness=witness if status is SolveStatus.SAT else None,

@@ -160,6 +160,15 @@ class TestSolveCmd:
         assert "status=SAT" in out.splitlines()
         assert "witness=1 1" in out.splitlines()
 
+    def test_variable_count_above_dpll_bound(self, capsys, tmp_path):
+        # the header alone would size dpll's arrays at 2^31 entries
+        path = tmp_path / "wide.cnf"
+        path.write_text("p cnf 2147483648 0\n")
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "rbcsp: error: 2147483648 CNF variables exceed the DPLL bound 65536\n"
+
     @pytest.mark.parametrize("data", [
         b"1 2 0\n",
         b"p cnf two 1\n1 0\n",

@@ -34,6 +34,8 @@ from rbcsp.solver import (
 )
 from rbcsp.validate import cross_check_instance, small_params
 
+import reference_solver
+
 
 def p0_instance(n=4):
     params = CspParams(ModelKind.RB, 2, n, 0.5, 1.0, 0.0)
@@ -186,12 +188,19 @@ class TestDpll:
         res = dpll(cnf, SolveConfig(node_limit=1))
         assert res.status is SolveStatus.LIMIT
 
-    def test_recursion_limit_restored(self):
-        before = sys.getrecursionlimit()
+    def test_split_depth_needs_no_recursion_limit(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("dpll must not change the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
         chain = tuple((-v, v + 1) for v in range(1, 5000))
         res = dpll(CnfFormula(num_vars=5000, clauses=((1,),) + chain))
         assert res.status is SolveStatus.SAT
-        assert sys.getrecursionlimit() == before
+        # tautologies force nothing: one split per variable, deeper than the
+        # default recursion limit of 1000
+        deep = tuple((v, -v) for v in range(1, 1101))
+        res = dpll(CnfFormula(num_vars=1100, clauses=deep))
+        assert (res.status, res.nodes, res.backtracks) == (SolveStatus.SAT, 1100, 0)
 
     def test_status_matches_csp_solver(self):
         params = CspParams.from_sizes(ModelKind.RB, 2, 5, 3, 9, 0.5)
@@ -353,6 +362,28 @@ class TestCounterParity:
                 res = dpll(cnf, cfg)
                 got.append((res.status.value, res.nodes, res.backtracks, res.solutions))
         assert tuple(got) == DPLL_COUNTERS[family, forced, index]
+
+
+PARITY_CONFIGS = DPLL_CONFIGS + (SolveConfig(node_limit=1), SolveConfig(node_limit=3, count_all=True))
+
+
+@st.composite
+def small_cnfs(draw):
+    """0-8 variables, 0-20 clauses of width 0-4; empty clauses, repeated
+    literals and tautologies all occur."""
+    num_vars = draw(st.integers(0, 8))
+    lits = st.integers(-num_vars, num_vars).filter(bool)
+    widths = st.integers(0, 4 if num_vars else 0)
+    clauses = draw(st.lists(widths.flatmap(lambda w: st.tuples(*[lits] * w)), max_size=20))
+    return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_cnfs())
+def test_dpll_matches_recursive_reference(cnf):
+    for cfg in PARITY_CONFIGS:
+        assert dpll(cnf, cfg) == reference_solver.dpll(cnf, cfg)  # every SolveResult field
+
 
 class TestWitnessCheck:
     def test_unsound_witness_raises(self, monkeypatch):
