@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 
-from .core import CspParams, ModelKind, ParameterError, SizeError, derive_sizes
+from .core import CspParams, ForcedInfeasibleError, ModelKind, ParameterError, SizeError, derive_sizes
 
 __all__ = [
     "ProfilePoint",
@@ -28,6 +28,7 @@ __all__ = [
     "pair_sat_prob_log",
     "forced_expected_count_log",
     "distance_profile",
+    "MAX_PROFILE_N",
     "threesat_profile_exponent",
     "maximize_exponent",
     "flawed_prob_rd",
@@ -150,22 +151,12 @@ def _logsumexp(values) -> float:
 
 def forced_expected_count_log(params: CspParams) -> float:
     """ln of the expected solution count of forced instances,
-    ln E_f[N] = ln E[N^2] - ln E[N].
+    ln E_f[N] = ln E[N^2] - ln E[N]: the log-sum-exp of the forced
+    distance profile, whose classes are the terms of E[N^2] / E[N]."""
+    return _logsumexp(pt.log_expected for pt in distance_profile(params, forced=True))
 
-    E[N^2] sums ordered assignment pairs by similarity class:
-    ln E[N^2] = LSE_S [ ln C(n,S) + (n-S) ln(d-1) + n ln d
-                        + m * pair_sat_prob_log(S) ].
-    """
-    sizes = derive_sizes(params)
-    n, d, m = params.n, sizes.d, sizes.m
-    terms = (
-        _log_binomial(n, S)
-        + (n - S) * math.log(d - 1)
-        + n * math.log(d)
-        + m * pair_sat_prob_log(params, S)
-        for S in range(n + 1)
-    )
-    return _logsumexp(terms) - first_moment_log(params)
+
+MAX_PROFILE_N = 10 ** 6  # one class costs about 5 us, so the bound takes seconds
 
 
 def distance_profile(params: CspParams, forced: bool) -> list[ProfilePoint]:
@@ -175,11 +166,19 @@ def distance_profile(params: CspParams, forced: bool) -> list[ProfilePoint]:
     random:  ln C(n,S) + (n-S) ln(d-1) + m ln(1-p_eff)
     forced:  ln C(n,S) + (n-S) ln(d-1) + m [pair_sat_prob_log(S) - ln(1-p_eff)]
 
-    Log-sum-exp over S recovers ln E[N] (random) and ln E_f[N] (forced).
+    Log-sum-exp over S gives ln E[N] (random) and ln E_f[N] (forced, which
+    is how `forced_expected_count_log` computes it).  O(n): rejects n above
+    `MAX_PROFILE_N`, and forced profiles at effective tightness 1, where no
+    forced instance exists.
     """
+    if params.n > MAX_PROFILE_N:
+        raise SizeError(f"n = {params.n} exceeds the closed-form bound {MAX_PROFILE_N}")
     sizes = derive_sizes(params)
     n, d, m = params.n, sizes.d, sizes.m
     p_eff = effective_tightness(params)
+    if forced and p_eff >= 1.0:
+        raise ForcedInfeasibleError(
+            "effective tightness 1 (q = d^k or p = 1): no forced instance exists")
     log_c1 = math.log1p(-p_eff) if p_eff < 1.0 else -math.inf
     points = []
     for S in range(n + 1):

@@ -116,7 +116,7 @@ def _cmd_thresholds(args) -> int:
     r_for_conditions = args.r if args.r is not None else r_cr
     p_cr = analysis.p_threshold(args.alpha, r_for_conditions)
     params = CspParams(
-        model=ModelKind.RB, k=args.k, n=max(args.n, 2),
+        model=ModelKind.RB, k=args.k, n=2 if args.n is None else args.n,
         alpha=args.alpha, r=r_for_conditions,
         p=args.p if args.p is not None else p_cr,
     )
@@ -125,7 +125,7 @@ def _cmd_thresholds(args) -> int:
     lines.append(f"p_cr={p_cr:.12f}")
     lines += [f"condition.{cond.name}={'ok' if cond.satisfied else 'violated'} "
               f"margin={cond.margin:.6f}" for cond in analysis.check_conditions(params)]
-    if args.n >= 2:
+    if args.n is not None:
         sizes = derive_sizes(params)
         lines += [f"d={sizes.d}", f"m={sizes.m}", f"q={sizes.q}",
                   f"log_first_moment={analysis.first_moment_log(params):.9f}",
@@ -253,7 +253,7 @@ def build_parser() -> _Parser:
     thr.add_argument("--alpha", type=float, required=True)
     thr.add_argument("--p", type=float, default=None)
     thr.add_argument("--r", type=float, default=None)
-    thr.add_argument("--n", type=int, default=0, help="also derive sizes/moments for this n")
+    thr.add_argument("--n", type=int, default=None, help="also derive sizes/moments for this n")
     thr.set_defaults(func=_cmd_thresholds)
 
     prof = subs.add_parser("profile", help="distance-profile CSV")

@@ -71,12 +71,10 @@ class CnfFormula:
     metadata: tuple[tuple[str, str], ...] = field(default=())
 
     def __post_init__(self):
-        lits = set(chain.from_iterable(self.clauses))
-        if lits and (0 in lits or max(lits) > self.num_vars or -min(lits) > self.num_vars):
-            for clause in self.clauses:
-                for lit in clause:
-                    if lit == 0 or abs(lit) > self.num_vars:
-                        raise ParameterError(f"literal {lit} out of range in clause {clause}")
+        for clause in self.clauses:
+            for lit in clause:
+                if lit == 0 or abs(lit) > self.num_vars:
+                    raise ParameterError(f"literal {lit} out of range in clause {clause}")
 
 
 def _fmt_real(x: float) -> str:

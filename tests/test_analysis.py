@@ -20,7 +20,7 @@ from rbcsp.analysis import (
     r_threshold,
     threesat_profile_exponent,
 )
-from rbcsp.core import CspParams, ModelKind, ParameterError, SizeError
+from rbcsp.core import CspParams, ModelKind, ParameterError, SizeError, derive_sizes
 
 
 class TestThresholds:
@@ -183,6 +183,30 @@ class TestForcedExpectedCount:
                         for r in (0.8, 1.5, 3.0):
                             params = CspParams(model, 2, n, alpha, r, p)
                             assert forced_expected_count_log(params) >= first_moment_log(params) - 1e-9
+
+    def test_matches_exact_rational_sum(self):
+        """E_f[N] = sum_S C(n,S) (d-1)^(n-S) pair_S^m / (1-p_eff)^m summed in
+        exact rationals over test_05's grid, independent of the profile."""
+        r_cr = r_threshold(0.8, 0.25)
+        for model, n, r, p in itertools.product(
+                (ModelKind.RB, ModelKind.RD), (8, 20, 59), (1.5, r_cr), (0.1, 0.25, 0.5)):
+            params = CspParams(model, 2, n, 0.8, r, p)
+            sizes = derive_sizes(params)
+            d, m, N, q = sizes.d, sizes.m, sizes.tuple_space, sizes.q
+            if model is ModelKind.RD:
+                c1 = 1 - Fraction(p)
+                both = c1 * c1
+            else:
+                c1 = Fraction(N - q, N)
+                both = Fraction((N - q) * (N - q - 1), N * (N - 1))
+            total = Fraction(0)
+            for S in range(n + 1):
+                sigma = Fraction(math.comb(S, 2), math.comb(n, 2))
+                pair = c1 * sigma + both * (1 - sigma)
+                total += math.comb(n, S) * (d - 1) ** (n - S) * (pair / c1) ** m
+            exact = math.log(total.numerator) - math.log(total.denominator)
+            value = forced_expected_count_log(params)
+            assert abs(value - exact) <= 1e-11 * max(1.0, abs(exact)), (params, value, exact)
 
 
 class TestDistanceProfile:

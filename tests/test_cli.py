@@ -321,8 +321,8 @@ SMALL_ARGV = {
     "compare-forced": ["compare-forced", *PARAMS, *RUN],
     "validate": ["validate", "--seed", "1", "--instances", "2"],
 }
-# none is a large integer, so no count flag (--samples, --count, --instances,
-# --n of thresholds and profile) starts a long run
+# none is a large integer, so no count flag (--samples, --count, --instances)
+# starts a long run; --n of thresholds and profile stops at MAX_PROFILE_N
 EDGE_VALUES = ["-1", "0", "1", "0.5", "nan", "inf", "-inf", "1e308", "x", "", "1,,2"]
 NOT_VARIED = {"--out", "--out-dir", "--model", "--axis"}
 
@@ -386,6 +386,14 @@ class TestRejectedBeforeAnyOutput:
           for s in ("9", "0", "-1")),
         (["thresholds", "--alpha", "0.8", "--p", "0.3", "--k", "1"], "arity k must be >= 2"),
         (["thresholds", "--alpha", "400", "--p", "0.3", "--n", "10"], "sizes overflow"),
+        *((["thresholds", "--alpha", "0.8", "--p", "0.3", "--n", n], "variable count n must be >= 2")
+          for n in ("1", "-5")),
+        (["thresholds", "--alpha", "1", "--p", "0.99", "--n", "6"], "effective tightness 1"),
+        (["profile", "--n", "6", "--alpha", "1", "--r", "1", "--p", "0.99"], "effective tightness 1"),
+        (["thresholds", "--alpha", "0.8", "--p", "0.3", "--n", "100000000000"],
+         "n = 100000000000 exceeds the closed-form bound 1000000"),
+        (["profile", "--alpha", "0.8", "--r", "1.5", "--p", "0.3", "--n", "100000000"],
+         "n = 100000000 exceeds the closed-form bound 1000000"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_exit_2(self, capsys, tmp_path, argv, message):
         out_dir = tmp_path / "out"
