@@ -5,9 +5,12 @@ Elliott 1980): assigning a variable prunes, for every constraint with
 exactly one other unassigned variable, the forbidden values of that
 variable.  Domains are Python ``int`` bitmasks (bit v set = value v still
 allowed), as in bit-parallel arc consistency (Lecoutre & Vion 2008), so a
-pruning is one ``&= ~mask`` and a wipeout is an empty mask.  Each mask is
-computed from the constraint's forbidden ranks on its first lookup, then
-cached (lazy, as in Minion: Gent et al. 2006), so memory is O(q) per constraint.
+pruning is one ``&= ~mask`` and a wipeout is an empty mask.  Constraints on
+the same scope act as one that forbids the union of their ranks, so each
+scope is pruned once.  Each mask is computed from the scope's forbidden ranks
+on its first lookup, then cached (lazy, as in Minion: Gent et al. 2006).  The
+ranks are held as a flag string of d^k bytes only where that costs at most
+32 B per rank, else as a rank tuple or frozenset, so memory is O(q) per scope.
 
 Variable order is lex or minimum-remaining-values with lowest-index
 tie-breaking; value order is ascending.  ``nodes`` counts value assignment
@@ -31,20 +34,39 @@ def active_backend() -> str:
 
 
 def _watch_lists(n, d, constraints):
-    """Per variable, one ``(own_mult, walk, test, others)`` entry per constraint
-    on it, in constraint order.  ``others`` holds ``(var, mult, masks)`` for
-    every other scope position; ``masks`` starts empty and caches, per partial
-    rank (the position's coordinate zeroed), the bitmask of that position's
-    forbidden values, which ``fc_search`` computes on first lookup by walking
-    the smaller of the looked-up line of d ranks and the q forbidden ranks and
-    testing each in the other: ``walk`` is the forbidden tuple and ``test``
-    None (the line) when q < d, else ``walk`` is None and ``test`` a frozenset."""
-    watch = [[] for _ in range(n)]
+    """Per variable, one ``(own_mult, walk, test, others)`` entry per distinct
+    scope on it, in order of the scope's first constraint; the constraints on
+    one scope act as one, whose q forbidden ranks are the union of theirs.
+    ``others`` holds ``(var, mult, masks)`` for every other scope position;
+    ``masks`` starts empty and caches, per partial rank (the position's
+    coordinate zeroed), the bitmask of that position's forbidden values, which
+    ``fc_search`` computes on first lookup from one of three sources:
+
+    * flags, when d^k <= 32 q: ``walk`` is None and ``test`` a bytearray of
+      d^k ``0``/``1`` characters, ``1`` at each forbidden rank; a line of d
+      ranks is one strided slice, read as a binary number.  That is at most
+      32 B per rank, less than a frozenset takes per member;
+    * walk, when q < d: ``walk`` holds the q ranks and ``test`` is None; each
+      rank is tested for membership in the looked-up line;
+    * frozenset, otherwise: ``walk`` is None and ``test`` a frozenset of the
+      ranks; each of the line's d ranks is tested in it."""
+    scopes = {}
     for con in constraints:
-        k = len(con.scope)
-        slots = [(u, d ** (k - 1 - j), {}) for j, u in enumerate(con.scope)]
-        ranks = con.incompatible
-        walk, test = (ranks, None) if len(ranks) < d else (None, frozenset(ranks))
+        scopes.setdefault(con.scope, []).append(con.incompatible)
+    watch = [[] for _ in range(n)]
+    for scope, group in scopes.items():
+        k = len(scope)
+        ranks = group[0] if len(group) == 1 else set().union(*group)
+        if d ** k <= 32 * len(ranks):
+            flags = bytearray(b"0") * d ** k
+            for rank in ranks:
+                flags[rank] = 49  # ord("1")
+            walk, test = None, flags
+        elif len(ranks) < d:
+            walk, test = ranks, None
+        else:
+            walk, test = None, frozenset(ranks)
+        slots = [(u, d ** (k - 1 - j), {}) for j, u in enumerate(scope)]
         for j, (u, mult, _) in enumerate(slots):
             watch[u].append((mult, walk, test, tuple(slots[:j] + slots[j + 1:])))
     return watch
@@ -114,7 +136,7 @@ def fc_search(n, d, constraints, mrv, node_limit, count_all):
         dom = doms[depth][:]
 
         # forward check: prune the single unassigned variable of each
-        # constraint that is now fully instantiated but for one slot
+        # scope that is now fully instantiated but for one slot
         ok = True
         for own_mult, walk, test, others in watch[var]:
             partial = val * own_mult
@@ -130,13 +152,16 @@ def fc_search(n, d, constraints, mrv, node_limit, count_all):
                     free, free_mult, free_masks = u, mult, masks
             if free >= 0:
                 mask = free_masks.get(partial)
-                if mask is None:  # first lookup: O(min(d, q)), see _watch_lists
-                    line = range(partial, partial + d * free_mult, free_mult)
-                    members = line if test is None else test
-                    mask = 0
-                    for rank in line if walk is None else walk:
-                        if rank in members:
-                            mask |= 1 << (rank - partial) // free_mult
+                if mask is None:  # first lookup, see _watch_lists
+                    if type(test) is bytearray:  # flags, reversed so that value v is bit v
+                        mask = int(test[partial:partial + d * free_mult:free_mult][::-1], 2)
+                    else:  # O(min(d, q))
+                        line = range(partial, partial + d * free_mult, free_mult)
+                        members = line if test is None else test
+                        mask = 0
+                        for rank in line if walk is None else walk:
+                            if rank in members:
+                                mask |= 1 << (rank - partial) // free_mult
                     free_masks[partial] = mask
                 if dom[free] & mask:
                     dom[free] &= ~mask

@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 
-from .core import CspParams, ForcedInfeasibleError, ModelKind, ParameterError, SizeError, derive_sizes
+from .core import (CspParams, ForcedInfeasibleError, ModelKind, ParameterError, SizeError,
+                   check_ranges, derive_sizes)
 
 __all__ = [
     "ProfilePoint",
@@ -71,12 +72,13 @@ def p_threshold(alpha: float, r: float) -> float:
     return -math.expm1(-alpha / r)
 
 
-def check_conditions(params: CspParams) -> tuple[Condition, ...]:
+def check_conditions(k: int, alpha: float, r: float, p: float) -> tuple[Condition, ...]:
     """Side conditions under which the thresholds are exact, with numeric
     margins (value - bound): alpha > 1/k; k >= 1/(1-p) for the r-transition;
-    k e^(-alpha/r) >= 1 for the p-transition.
+    k e^(-alpha/r) >= 1 for the p-transition.  They do not involve n; k,
+    alpha, r and p are range-checked as CspParams checks them.
     """
-    k, alpha, r, p = params.k, params.alpha, params.r, params.p
+    check_ranges(k, alpha, r, p)
     margin_a = alpha - 1.0 / k
     margin_k = (k - 1.0 / (1.0 - p)) if p < 1.0 else -math.inf
     margin_e = k * math.exp(-alpha / r) - 1.0

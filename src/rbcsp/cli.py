@@ -115,17 +115,15 @@ def _cmd_thresholds(args) -> int:
     r_cr = analysis.r_threshold(args.alpha, args.p) if args.p is not None else None
     r_for_conditions = args.r if args.r is not None else r_cr
     p_cr = analysis.p_threshold(args.alpha, r_for_conditions)
-    params = CspParams(
-        model=ModelKind.RB, k=args.k, n=2 if args.n is None else args.n,
-        alpha=args.alpha, r=r_for_conditions,
-        p=args.p if args.p is not None else p_cr,
-    )
+    p = args.p if args.p is not None else p_cr
     # every value before any output, so that a rejected parameter prints nothing
     lines = [f"r_cr={r_cr:.12f}"] if r_cr is not None else []
     lines.append(f"p_cr={p_cr:.12f}")
     lines += [f"condition.{cond.name}={'ok' if cond.satisfied else 'violated'} "
-              f"margin={cond.margin:.6f}" for cond in analysis.check_conditions(params)]
+              f"margin={cond.margin:.6f}"
+              for cond in analysis.check_conditions(args.k, args.alpha, r_for_conditions, p)]
     if args.n is not None:
+        params = CspParams(model=ModelKind.RB, k=args.k, n=args.n, alpha=args.alpha, r=r_for_conditions, p=p)
         sizes = derive_sizes(params)
         lines += [f"d={sizes.d}", f"m={sizes.m}", f"q={sizes.q}",
                   f"log_first_moment={analysis.first_moment_log(params):.9f}",

@@ -68,6 +68,19 @@ def round_half_away(x: float) -> int:
     return int(math.ceil(x - 0.5))
 
 
+def check_ranges(k: int, alpha: float, r: float, p: float):
+    """Raise ParameterError unless k >= 2, alpha and r are positive and finite
+    and p is in [0, 1]: the parameters that do not depend on n."""
+    if k < 2:
+        raise ParameterError(f"arity k must be >= 2, got {k}")
+    if not 0 < alpha < math.inf:
+        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
+    if not 0 < r < math.inf:
+        raise ParameterError(f"r must be positive and finite, got {r}")
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError(f"tightness p must be in [0, 1], got {p}")
+
+
 @dataclass(frozen=True)
 class CspParams:
     """The (model, k, n, alpha, r, p) tuple everything else derives from."""
@@ -84,16 +97,11 @@ class CspParams:
             object.__setattr__(self, "model", ModelKind(self.model))
         except ValueError:
             raise ParameterError(f"model must be 'rb' or 'rd', got {self.model!r}") from None
-        if self.k < 2:
-            raise ParameterError(f"arity k must be >= 2, got {self.k}")
+        check_ranges(self.k, self.alpha, self.r, self.p)
         if self.n < 2:
             raise ParameterError(f"variable count n must be >= 2, got {self.n}")
-        if not 0 < self.alpha < math.inf:
-            raise ParameterError(f"alpha must be positive and finite, got {self.alpha}")
-        if not 0 < self.r < math.inf:
-            raise ParameterError(f"r must be positive and finite, got {self.r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ParameterError(f"tightness p must be in [0, 1], got {self.p}")
+        if self.k > self.n:
+            raise ParameterError(f"arity k = {self.k} exceeds variable count n = {self.n}")
 
     @staticmethod
     def from_sizes(model: ModelKind, k: int, n: int, d: int, m: int, p: float) -> "CspParams":

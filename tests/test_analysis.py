@@ -61,7 +61,7 @@ class TestThresholds:
 class TestConditions:
     def test_classic_benchmark_set_all_satisfied(self):
         params = CspParams(ModelKind.RB, 2, 59, 0.8, 0.8 / math.log(4 / 3), 0.25)
-        conds = {c.name: c for c in check_conditions(params)}
+        conds = {c.name: c for c in check_conditions(params.k, params.alpha, params.r, params.p)}
         assert conds["k_ge_1_over_1mp"].satisfied
         assert conds["k_ge_1_over_1mp"].margin == pytest.approx(2 - 4 / 3)
         assert conds["k_exp_ge_1"].satisfied
@@ -70,7 +70,7 @@ class TestConditions:
 
     def test_alpha_condition_fails(self):
         params = CspParams(ModelKind.RB, 2, 10, 0.4, 1.0, 0.3)
-        conds = {c.name: c for c in check_conditions(params)}
+        conds = {c.name: c for c in check_conditions(params.k, params.alpha, params.r, params.p)}
         assert not conds["alpha_gt_1_over_k"].satisfied
         assert conds["alpha_gt_1_over_k"].margin == pytest.approx(-0.1)
 

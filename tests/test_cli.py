@@ -33,6 +33,19 @@ class TestThresholdsCmd:
         assert "condition.alpha_gt_1_over_k" in out
         assert "violated" not in out
 
+    def test_conditions_without_n(self, capsys):
+        """The side conditions need no n, so an arity above any placeholder n
+        still prints them."""
+        code, out, _ = run(capsys, "thresholds", "--k", "3", "--alpha", "0.8", "--p", "0.3")
+        assert code == 0
+        assert out.splitlines() == [
+            "r_cr=2.242938601646",
+            "p_cr=0.300000000000",
+            "condition.alpha_gt_1_over_k=ok margin=0.466667",
+            "condition.k_ge_1_over_1mp=ok margin=1.571429",
+            "condition.k_exp_ge_1=ok margin=1.100000",
+        ]
+
     def test_requires_p_or_r(self, capsys):
         code, _, err = run(capsys, "thresholds", "--k", "2", "--alpha", "0.8")
         assert code == 1
@@ -389,6 +402,11 @@ class TestRejectedBeforeAnyOutput:
         *((["thresholds", "--alpha", "0.8", "--p", "0.3", "--n", n], "variable count n must be >= 2")
           for n in ("1", "-5")),
         (["thresholds", "--alpha", "1", "--p", "0.99", "--n", "6"], "effective tightness 1"),
+        *(([cmd, "--k", "3", "--n", "2", "--alpha", "0.8", "--r", "1.5", "--p", "0.3", *extra],
+           "arity k = 3 exceeds variable count n = 2")
+          for cmd, extra in [("gen", ["--seed", "1"]), ("thresholds", []), ("profile", []),
+                             ("sweep", [*RUN, "--axis", "p", "--values", "0.2,0.4"])]),
+        (["scale", *PARAMS, *RUN, "--k", "3", "--n-values", "2,3"], "arity k = 3 exceeds variable count n = 2"),
         (["profile", "--n", "6", "--alpha", "1", "--r", "1", "--p", "0.99"], "effective tightness 1"),
         (["thresholds", "--alpha", "0.8", "--p", "0.3", "--n", "100000000000"],
          "n = 100000000000 exceeds the closed-form bound 1000000"),

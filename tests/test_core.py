@@ -66,10 +66,10 @@ class TestDeriveSizes:
             derive_sizes(params(**kwargs))
 
     def test_huge_arity_rejected_before_exponentiating(self):
-        # d^k with k = 10^7 is a 2.6e7-bit integer: computing it takes seconds
+        # d^k with k = 10^7 is a 1.9e8-bit integer: computing it takes seconds
         start = time.perf_counter()
         with pytest.raises(ParameterError, match="overflow"):
-            derive_sizes(params(k=10**7, n=10, alpha=0.8))
+            derive_sizes(params(k=10**7, n=10**7, alpha=0.8))
         assert time.perf_counter() - start < 1.0
 
 

@@ -283,7 +283,7 @@ class TestNativeFormat:
     def test_huge_arity_params_line_fails_fast(self):
         start = time.perf_counter()
         with pytest.raises(ParseError) as exc:
-            read_csp_native("RBCSP 1\nparams rb 10000000 10 0.8 1 0.3 1\nsizes 6 23\n")
+            read_csp_native("RBCSP 1\nparams rb 10000000 10000000 0.8 1 0.3 1\nsizes 6 23\n")
         assert "line 2" in str(exc.value)
         assert time.perf_counter() - start < 1.0
 

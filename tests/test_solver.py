@@ -428,22 +428,29 @@ def _search_recording_watch(n, d, constraints, mrv):
 
 
 def _check_cached_masks(watch, d, constraints):
-    """Assert that every cached mask is the set of values its free position
-    may not take, given the other coordinates of its key; return how many
-    masks were cached."""
+    """Assert that each variable has one entry per distinct scope on it, with
+    the mask source `_watch_lists` documents for the union of the forbidden
+    ranks on that scope, and that every cached mask is the set of values its
+    free position may not take under that union, given the other coordinates
+    of its key; return how many masks were cached."""
     checked = 0
     for u, entries in enumerate(watch):
-        cons_on_u = [con for con in constraints if u in con.scope]
-        assert len(entries) == len(cons_on_u)
-        for con, (own_mult, walk, test, others) in zip(cons_on_u, entries):
-            k = len(con.scope)
-            if len(con.incompatible) < d:
-                assert walk == con.incompatible and test is None
+        unions = {}
+        for con in constraints:
+            if u in con.scope:
+                unions.setdefault(con.scope, set()).update(con.incompatible)
+        assert len(entries) == len(unions)
+        for (scope, ranks), (own_mult, walk, test, others) in zip(unions.items(), entries):
+            k = len(scope)
+            if d ** k <= 32 * len(ranks):
+                assert walk is None and test == bytes(49 if r in ranks else 48 for r in range(d ** k))
+            elif len(ranks) < d:
+                assert sorted(walk) == sorted(ranks) and test is None
             else:
-                assert walk is None and test == frozenset(con.incompatible)
-            assert own_mult == d ** (k - 1 - con.scope.index(u))
+                assert walk is None and test == frozenset(ranks)
+            assert own_mult == d ** (k - 1 - scope.index(u))
             for var, mult, masks in others:
-                j = con.scope.index(var)
+                j = scope.index(var)
                 assert mult == d ** (k - 1 - j)
                 for partial, mask in masks.items():
                     coords = [partial // d ** (k - 1 - i) % d for i in range(k)]
@@ -451,7 +458,7 @@ def _check_cached_masks(watch, d, constraints):
                     want = 0
                     for v in range(d):
                         coords[j] = v
-                        if tuple_rank(coords, d) in con.incompatible:
+                        if tuple_rank(coords, d) in ranks:
                             want |= 1 << v
                     assert mask == want
                     checked += 1
@@ -476,12 +483,49 @@ class TestLazyMasks:
         cached = _check_cached_masks(watch, d, constraints)
         assert 0 < cached < len(constraints) * 2 * d
 
+    # (d, q, source): with k = 3 flags when d^3 <= 32 q (d = 4, q = 2 is the
+    # boundary), else the q ranks are walked when q < d, else a frozenset
+    SOURCES = [(4, 2, bytearray), (4, 1, tuple), (6, 5, tuple), (6, 6, frozenset), (6, 7, bytearray)]
+
+    @pytest.mark.parametrize("d,q,source", SOURCES)
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_every_line_of_each_source_and_position(self, d, q, source, position):
+        """A lex count-all search on x0, x1, x2 leaves x2 free after each of the
+        d^2 pairs (x0, x1), so every line of x2's scope position is looked up,
+        partial rank 0 and the last line among them."""
+        scope = {0: (2, 0, 1), 1: (0, 2, 1), 2: (0, 1, 2)}[position]
+        ranks = tuple(sorted({0, d ** 3 - 1, *range(d + 2, d ** 3, 7)})[:q])
+        assert len(ranks) == q
+        constraints = (Constraint(scope, ranks),)
+        watch = _search_recording_watch(3, d, constraints, False)
+        _, walk, test, others = watch[0][0]
+        assert type(test if walk is None else walk) is source
+        _check_cached_masks(watch, d, constraints)
+        (masks,) = [masks for var, _, masks in others if var == 2]
+        assert len(masks) == d * d
+        assert min(masks) == 0 and max(masks) == d ** 3 - 1 - (d - 1) * d ** (2 - position)
+
+    def test_constraints_on_one_scope_share_an_entry(self):
+        """Two constraints on (x0, x1) act as one: a single entry on each of
+        their variables, whose masks forbid the union of their ranks.  Each
+        alone would walk its one rank (d^2 = 36 > 32); together they are
+        flags."""
+        d = 6
+        constraints = (Constraint((0, 1), (7,)), Constraint((1, 2), (0,)), Constraint((0, 1), (9,)))
+        watch = _search_recording_watch(3, d, constraints, False)
+        assert [len(entries) for entries in watch] == [1, 2, 1]
+        assert type(watch[0][0][2]) is bytearray and type(watch[2][0][1]) is tuple  # flags, walk
+        (masks,) = [masks for var, _, masks in watch[0][0][3] if var == 1]
+        assert masks[d] == 1 << 1 | 1 << 3  # x0 = 1 forbids x1 in {1, 3}: ranks 7 and 9
+        assert _check_cached_masks(watch, d, constraints) > 0
+
 
 SPARSE_SOLVE = """
+import sys
 from rbcsp.core import CspParams, ModelKind
 from rbcsp.generator import GenRequest, generate
 from rbcsp.solver import solve_csp
-res = solve_csp(generate(GenRequest(CspParams(ModelKind.RB, 2, 1000, 1.0, 0.5, 1e-6), seed=1)))
+res = solve_csp(generate(GenRequest(CspParams(ModelKind.RB, 2, 1000, 1.0, 0.5, float(sys.argv[1])), seed=1)))
 print(res.status.value, res.nodes, res.backtracks)
 """
 
@@ -490,14 +534,26 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_sparse_large_domain_solves_in_capped_memory():
-    """RB k=2 n=1000: d = 1000, d^k = 10^6 ranks per constraint, m = 3454 and
-    q = 1.  The kernel holds O(q) per constraint, so the solve fits in 1 GB of
-    address space; a structure sized d^k per constraint would need gigabytes."""
+def _solve_rb2_n1000_in_capped_memory(p):
+    """Solve RB k=2 n=1000 alpha=1 r=0.5 at tightness p, seed 1, under 1 GB of
+    address space: d = 1000, d^k = 10^6 ranks per constraint and m = 3454."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", SPARSE_SOLVE], preexec_fn=_cap_address_space,
+        [sys.executable, "-c", SPARSE_SOLVE, str(p)], preexec_fn=_cap_address_space,
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["SAT", "1000", "0"]
+
+
+def test_sparse_large_domain_solves_in_capped_memory():
+    """q = 1: the kernel holds O(q) per scope, so the solve fits in 1 GB; a
+    structure sized d^k per scope would need gigabytes."""
+    _solve_rb2_n1000_in_capped_memory(1e-6)
+
+
+def test_frozenset_scopes_solve_in_capped_memory():
+    """q = d = 1000, so every scope tests lines against a frozenset of its
+    ranks.  Flags would take d^k = 10^6 bytes per scope, about 3.4 GB in all;
+    their rule d^k <= 32 q keeps them to at most 32 B per rank."""
+    _solve_rb2_n1000_in_capped_memory(1e-3)
