@@ -12,6 +12,12 @@ on its first lookup, then cached (lazy, as in Minion: Gent et al. 2006).  The
 ranks are held as a flag string of d^k bytes only where that costs at most
 32 B per rank, else as a rank tuple or frozenset, so memory is O(q) per scope.
 
+When every scope is binary, the mask a scope puts on the neighbour depends
+only on the value just assigned, so each variable holds one flat entry per
+neighbour whose cache is keyed by that value; any scope of arity 3 or more
+sends the whole set through the general entries, which key their caches by
+the partial rank of the other assigned positions.
+
 Variable order is lex or minimum-remaining-values with lowest-index
 tie-breaking; value order is ascending.  ``nodes`` counts value assignment
 attempts, ``backtracks`` counts retractions.
@@ -34,13 +40,20 @@ def active_backend() -> str:
 
 
 def _watch_lists(n, d, constraints):
-    """Per variable, one ``(own_mult, walk, test, others)`` entry per distinct
-    scope on it, in order of the scope's first constraint; the constraints on
-    one scope act as one, whose q forbidden ranks are the union of theirs.
-    ``others`` holds ``(var, mult, masks)`` for every other scope position;
-    ``masks`` starts empty and caches, per partial rank (the position's
-    coordinate zeroed), the bitmask of that position's forbidden values, which
-    ``fc_search`` computes on first lookup from one of three sources:
+    """Return ``(watch, binary)``: per variable, one entry per distinct scope
+    on it, in order of the scope's first constraint.  The constraints on one
+    scope act as one, whose q forbidden ranks are the union of theirs.
+
+    ``binary`` is true when every scope has two variables.  Then each entry is
+    ``(u, own_mult, mult, masks, walk, test)`` for the scope's other variable
+    ``u``: ``masks`` starts empty and caches, per value of the entry's own
+    variable, the bitmask of the values of ``u`` it forbids, the line of d
+    ranks from ``val * own_mult`` at stride ``mult``.  Otherwise every scope
+    takes the general entry ``(own_mult, walk, test, others)``, where
+    ``others`` holds ``(var, mult, masks)`` for every other scope position and
+    ``masks`` caches per partial rank (the position's coordinate zeroed) the
+    bitmask of that position's forbidden values.  ``fc_search`` computes a
+    mask on its first lookup (``_line_mask``) from one of three sources:
 
     * flags, when d^k <= 32 q: ``walk`` is None and ``test`` a bytearray of
       d^k ``0``/``1`` characters, ``1`` at each forbidden rank; a line of d
@@ -53,6 +66,7 @@ def _watch_lists(n, d, constraints):
     scopes = {}
     for con in constraints:
         scopes.setdefault(con.scope, []).append(con.incompatible)
+    binary = all(len(scope) == 2 for scope in scopes)
     watch = [[] for _ in range(n)]
     for scope, group in scopes.items():
         k = len(scope)
@@ -66,10 +80,29 @@ def _watch_lists(n, d, constraints):
             walk, test = ranks, None
         else:
             walk, test = None, frozenset(ranks)
+        if binary:
+            a, b = scope
+            watch[a].append((b, d, 1, {}, walk, test))
+            watch[b].append((a, 1, d, {}, walk, test))
+            continue
         slots = [(u, d ** (k - 1 - j), {}) for j, u in enumerate(scope)]
         for j, (u, mult, _) in enumerate(slots):
             watch[u].append((mult, walk, test, tuple(slots[:j] + slots[j + 1:])))
-    return watch
+    return watch, binary
+
+
+def _line_mask(start, stride, d, walk, test):
+    """Bitmask of the values v whose rank ``start + v * stride`` is forbidden,
+    from the source ``_watch_lists`` chose for the scope."""
+    if type(test) is bytearray:  # flags, reversed so that value v is bit v
+        return int(test[start:start + d * stride:stride][::-1], 2)
+    line = range(start, start + d * stride, stride)  # O(min(d, q))
+    members = line if test is None else test
+    mask = 0
+    for rank in line if walk is None else walk:
+        if rank in members:
+            mask |= 1 << (rank - start) // stride
+    return mask
 
 
 def fc_search(n, d, constraints, mrv, node_limit, count_all):
@@ -79,7 +112,7 @@ def fc_search(n, d, constraints, mrv, node_limit, count_all):
     solutions:   solutions found before stopping (all of them with count_all)
     witness:     first solution found as a tuple of values, else None
     """
-    watch = _watch_lists(n, d, constraints)
+    watch, binary = _watch_lists(n, d, constraints)
     assign = [-1] * n
     doms = [None] * (n + 1)  # doms[depth]: domains on entering that depth
     doms[0] = [(1 << d) - 1] * n
@@ -138,36 +171,39 @@ def fc_search(n, d, constraints, mrv, node_limit, count_all):
         # forward check: prune the single unassigned variable of each
         # scope that is now fully instantiated but for one slot
         ok = True
-        for own_mult, walk, test, others in watch[var]:
-            partial = val * own_mult
-            free = -1
-            for u, mult, masks in others:
-                a = assign[u]
-                if a >= 0:
-                    partial += a * mult
-                elif free >= 0:
-                    free = -1  # a second unassigned variable: nothing to prune
-                    break
-                else:
-                    free, free_mult, free_masks = u, mult, masks
-            if free >= 0:
-                mask = free_masks.get(partial)
-                if mask is None:  # first lookup, see _watch_lists
-                    if type(test) is bytearray:  # flags, reversed so that value v is bit v
-                        mask = int(test[partial:partial + d * free_mult:free_mult][::-1], 2)
-                    else:  # O(min(d, q))
-                        line = range(partial, partial + d * free_mult, free_mult)
-                        members = line if test is None else test
-                        mask = 0
-                        for rank in line if walk is None else walk:
-                            if rank in members:
-                                mask |= 1 << (rank - partial) // free_mult
-                    free_masks[partial] = mask
-                if dom[free] & mask:
-                    dom[free] &= ~mask
-                    if not dom[free]:
-                        ok = False
+        if binary:
+            for u, own_mult, mult, masks, walk, test in watch[var]:
+                if assign[u] < 0:
+                    mask = masks.get(val)
+                    if mask is None:  # first lookup, see _watch_lists
+                        mask = masks[val] = _line_mask(val * own_mult, mult, d, walk, test)
+                    if dom[u] & mask:
+                        dom[u] &= ~mask
+                        if not dom[u]:
+                            ok = False
+                            break
+        else:
+            for own_mult, walk, test, others in watch[var]:
+                partial = val * own_mult
+                free = -1
+                for u, mult, masks in others:
+                    a = assign[u]
+                    if a >= 0:
+                        partial += a * mult
+                    elif free >= 0:
+                        free = -1  # a second unassigned variable: nothing to prune
                         break
+                    else:
+                        free, free_mult, free_masks = u, mult, masks
+                if free >= 0:
+                    mask = free_masks.get(partial)
+                    if mask is None:  # first lookup, see _watch_lists
+                        mask = free_masks[partial] = _line_mask(partial, free_mult, d, walk, test)
+                    if dom[free] & mask:
+                        dom[free] &= ~mask
+                        if not dom[free]:
+                            ok = False
+                            break
 
         if ok:
             depth += 1

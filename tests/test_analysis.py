@@ -209,6 +209,35 @@ class TestForcedExpectedCount:
             assert abs(value - exact) <= 1e-11 * max(1.0, abs(exact)), (params, value, exact)
 
 
+
+class TestSecondMomentRatio:
+    """ln(E[N^2] / E[N]^2) = forced_expected_count_log - first_moment_log.
+    Below the threshold the second-moment method needs the ratio to tend to 1
+    (Xu & Li, JAIR 2000), so its log falls towards 0 as n grows; above it
+    E[N] -> 0 and the log ratio grows.  Every point checked satisfies
+    `check_conditions`, but this test cannot show that those side conditions
+    are needed: at RB k=2 with p = 0.6, where k >= 1/(1-p) fails, the log
+    ratio below the threshold still falls towards 0 over n <= 10^5."""
+
+    N_VALUES = (10 ** 2, 10 ** 3, 10 ** 4)
+
+    def log_ratios(self, model, k, p, factor):
+        r = factor * r_threshold(0.8, p)
+        assert all(c.satisfied for c in check_conditions(k, 0.8, r, p))
+        ratios = []
+        for n in self.N_VALUES:
+            params = CspParams(model, k, n, 0.8, r, p)
+            ratios.append(forced_expected_count_log(params) - first_moment_log(params))
+        return ratios
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("k,p", [(2, 0.25), (3, 0.5)])
+    def test_falls_below_and_rises_above_the_threshold(self, model, k, p):
+        below = self.log_ratios(model, k, p, 0.9)
+        assert below[0] > below[1] > below[2], below
+        above = self.log_ratios(model, k, p, 1.1)
+        assert above[0] < above[1] < above[2], above
+
 class TestDistanceProfile:
     @pytest.mark.parametrize("model", [ModelKind.RB, ModelKind.RD])
     def test_forced_reference_point_is_zero(self, model):

@@ -3,7 +3,9 @@ import math
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rbcsp.analysis import check_conditions, first_moment_log, forced_expected_count_log
 from rbcsp.core import (
     Assignment,
     Constraint,
@@ -13,6 +15,7 @@ from rbcsp.core import (
     DimensionMismatchError,
     ModelKind,
     ParameterError,
+    RbcspError,
     check_assignment,
     derive_sizes,
     distance,
@@ -121,6 +124,42 @@ class TestParamsValidation:
         sizes = derive_sizes(p)
         assert (sizes.d, sizes.m) == (3, 6)
 
+
+
+# edge values of each real field: out of range, zero, tiny, ordinary, large,
+# infinite and nan
+EDGE_ALPHAS = (-1.0, 0.0, 1e-12, 0.4, 1.0, 3.0, 600.0, math.inf, math.nan)
+EDGE_RS = (-1.0, 0.0, 1e-12, 0.3, 1.0, 3.0, math.inf, math.nan)
+EDGE_PS = (-0.1, 0.0, 1e-12, 0.5, 1 - 1e-12, 1.0, 1.1, math.nan)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(model=st.sampled_from(list(ModelKind)), k=st.integers(1, 4), n=st.integers(1, 6),
+       alpha=st.sampled_from(EDGE_ALPHAS), r=st.sampled_from(EDGE_RS), p=st.sampled_from(EDGE_PS))
+def test_edge_grid_returns_or_raises_rbcsp_error(model, k, n, alpha, r, p):
+    """A pair of fields that are each valid can still meet at a point no
+    closed form or generator handles.  Either the constructor rejects the
+    point, or every library entry point on it returns (a moment never as nan)
+    or raises an RbcspError; both generators run where d^k <= 4096."""
+    try:
+        params = CspParams(model, k, n, alpha, r, p)
+    except RbcspError:
+        return
+    calls = [lambda: derive_sizes(params), lambda: check_conditions(k, alpha, r, p),
+             lambda: first_moment_log(params), lambda: forced_expected_count_log(params)]
+    try:
+        small = derive_sizes(params).tuple_space <= 4096
+    except RbcspError:
+        small = False
+    if small:
+        calls += [lambda: generate(GenRequest(params, seed=1)),
+                  lambda: generate(GenRequest(params, seed=1, forced=True))]
+    for call in calls:
+        try:
+            value = call()
+        except RbcspError:
+            continue
+        assert not (isinstance(value, float) and math.isnan(value)), params
 
 class TestTupleRank:
     def test_row_major(self):

@@ -423,7 +423,7 @@ def _search_recording_watch(n, d, constraints, mrv):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_search, "_watch_lists", recording)
         _search.fc_search(n, d, constraints, mrv, None, True)
-    (watch,) = built
+    ((watch, _),) = built
     return watch
 
 
@@ -432,7 +432,10 @@ def _check_cached_masks(watch, d, constraints):
     the mask source `_watch_lists` documents for the union of the forbidden
     ranks on that scope, and that every cached mask is the set of values its
     free position may not take under that union, given the other coordinates
-    of its key; return how many masks were cached."""
+    of its key: the entry's own value, for a binary entry, else the partial
+    rank.  The entries are binary exactly when every scope is.  Return how
+    many masks were cached."""
+    binary = all(len(con.scope) == 2 for con in constraints)
     checked = 0
     for u, entries in enumerate(watch):
         unions = {}
@@ -440,8 +443,14 @@ def _check_cached_masks(watch, d, constraints):
             if u in con.scope:
                 unions.setdefault(con.scope, set()).update(con.incompatible)
         assert len(entries) == len(unions)
-        for (scope, ranks), (own_mult, walk, test, others) in zip(unions.items(), entries):
+        for (scope, ranks), entry in zip(unions.items(), entries):
             k = len(scope)
+            if binary:
+                var, own_mult, mult, masks, walk, test = entry
+                assert sorted(scope) == sorted((u, var))
+                others = ((var, mult, masks),)
+            else:
+                own_mult, walk, test, others = entry
             if d ** k <= 32 * len(ranks):
                 assert walk is None and test == bytes(49 if r in ranks else 48 for r in range(d ** k))
             elif len(ranks) < d:
@@ -452,9 +461,14 @@ def _check_cached_masks(watch, d, constraints):
             for var, mult, masks in others:
                 j = scope.index(var)
                 assert mult == d ** (k - 1 - j)
-                for partial, mask in masks.items():
-                    coords = [partial // d ** (k - 1 - i) % d for i in range(k)]
-                    assert coords[j] == 0 and 0 <= partial < d ** k
+                for key, mask in masks.items():
+                    if binary:
+                        assert 0 <= key < d
+                        coords = [0] * k
+                        coords[scope.index(u)] = key
+                    else:
+                        coords = [key // d ** (k - 1 - i) % d for i in range(k)]
+                        assert coords[j] == 0 and 0 <= key < d ** k
                     want = 0
                     for v in range(d):
                         coords[j] = v
@@ -477,8 +491,8 @@ class TestLazyMasks:
         params = CspParams(ModelKind.RB, 2, 20, 0.8, 1.5, p_threshold(0.8, 1.5))
         inst = generate(GenRequest(params, seed=5, forced=True))
         n, d, constraints = params.n, inst.sizes.d, inst.constraints
-        watch = _search._watch_lists(n, d, constraints)
-        assert not any(masks for entries in watch for *_, others in entries for *_, masks in others)
+        watch, binary = _search._watch_lists(n, d, constraints)
+        assert binary and not any(masks for entries in watch for _, _, _, masks, _, _ in entries)
         watch = _search_recording_watch(n, d, constraints, True)
         cached = _check_cached_masks(watch, d, constraints)
         assert 0 < cached < len(constraints) * 2 * d
@@ -514,10 +528,47 @@ class TestLazyMasks:
         constraints = (Constraint((0, 1), (7,)), Constraint((1, 2), (0,)), Constraint((0, 1), (9,)))
         watch = _search_recording_watch(3, d, constraints, False)
         assert [len(entries) for entries in watch] == [1, 2, 1]
-        assert type(watch[0][0][2]) is bytearray and type(watch[2][0][1]) is tuple  # flags, walk
-        (masks,) = [masks for var, _, masks in watch[0][0][3] if var == 1]
-        assert masks[d] == 1 << 1 | 1 << 3  # x0 = 1 forbids x1 in {1, 3}: ranks 7 and 9
+        assert type(watch[0][0][5]) is bytearray and type(watch[2][0][4]) is tuple  # flags, walk
+        var, _, _, masks, _, _ = watch[0][0]
+        assert var == 1 and masks[1] == 1 << 1 | 1 << 3  # x0 = 1 forbids x1 in {1, 3}: ranks 7 and 9
         assert _check_cached_masks(watch, d, constraints) > 0
+
+
+@st.composite
+def mixed_arity_sets(draw):
+    """(n, d, constraints) where each constraint draws its own arity, 2 or 3,
+    so a set may be binary, ternary or mixed."""
+    n, d = draw(st.integers(3, 6)), draw(st.integers(2, 4))
+
+    def constraints(k):
+        scopes = st.permutations(range(n)).map(lambda order: tuple(order[:k]))
+        ranks = st.sets(st.integers(0, d ** k - 1), max_size=d ** k)
+        return st.builds(Constraint, scopes, ranks.map(tuple))
+
+    cons = draw(st.lists(st.sampled_from([2, 3]).flatmap(constraints), min_size=1, max_size=6))
+    return n, d, tuple(cons)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(problem=mixed_arity_sets(), mrv=st.booleans())
+def test_mixed_arity_sets_match_brute_force(problem, mrv):
+    """Count-all search counts every one of the d^n assignments that satisfies
+    all scopes, and its witness is one of them: no scope is dropped when
+    arities mix.  Only an all-binary set builds binary entries."""
+    n, d, constraints = problem
+    forbidden = [(con.scope, set(con.incompatible)) for con in constraints]
+
+    def satisfies(values):
+        return all(tuple_rank([values[u] for u in scope], d) not in ranks for scope, ranks in forbidden)
+
+    count = sum(map(satisfies, itertools.product(range(d), repeat=n)))
+    status, _, _, solutions, witness = _search.fc_search(n, d, constraints, mrv, None, True)
+    assert solutions == count
+    assert (status is SolveStatus.SAT) == (count > 0)
+    assert witness is None if count == 0 else satisfies(witness)
+    watch, binary = _search._watch_lists(n, d, constraints)
+    assert binary == all(len(con.scope) == 2 for con in constraints)
+    assert all(len(entry) == (6 if binary else 4) for entries in watch for entry in entries)
 
 
 SPARSE_SOLVE = """
